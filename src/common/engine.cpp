@@ -104,11 +104,15 @@ struct Engine::TickWorkers {
   TickWorkers(const TickWorkers&) = delete;
   TickWorkers& operator=(const TickWorkers&) = delete;
 
-  /// Release a worker into the current cycle's parallel phase. The release
-  /// store publishes everything the main thread wrote since the last
-  /// barrier (due lists, cleared buffers, module state mutated by events).
+  /// Release a worker into the current cycle's parallel phase. The store
+  /// publishes everything the main thread wrote since the last barrier (due
+  /// lists, cleared buffers, module state mutated by events). It must be
+  /// seq_cst, not release: with the worker's `sleeping` store and `go` load
+  /// this is a Dekker handshake, and a release store does not order the
+  /// following `sleeping` load, so each side could miss the other's write
+  /// and the worker would sleep through its wakeup.
   void wake(Slot& s, std::uint64_t gen) {
-    s.go.store(gen, std::memory_order_release);
+    s.go.store(gen, std::memory_order_seq_cst);
     if (s.sleeping.load(std::memory_order_seq_cst)) {
       const std::lock_guard<std::mutex> lk(s.m);
       s.cv.notify_one();
