@@ -1,200 +1,18 @@
 #include "common/engine.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <condition_variable>
-#include <cstdlib>
-#include <mutex>
-#include <thread>
 #include <utility>
 
-#include "check/check.hpp"
 #include "check/digest.hpp"
 #include "ckpt/state_io.hpp"
 
-#if defined(__x86_64__) || defined(_M_X64)
-#include <x86intrin.h>
-#endif
-
 namespace gpuqos {
 
-namespace {
-
-inline void cpu_pause() {
-#if defined(__x86_64__) || defined(_M_X64)
-  _mm_pause();
-#else
-  std::this_thread::yield();
-#endif
-}
-
-/// GPUQOS_TICK_THREADS: 1 (or unset/garbage) = serial reference path;
-/// >= 2 enables the parallel tick. Clamped to 8 — only three parallel
-/// domains exist, so more buys nothing.
-unsigned parse_tick_threads() {
-  const char* s = std::getenv("GPUQOS_TICK_THREADS");
-  if (s == nullptr || *s == '\0') return 1;
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  if (end == s || v < 1) return 1;
-  return v > 8 ? 8U : static_cast<unsigned>(v);
-}
-
-}  // namespace
-
-// NOLINT-gpuqos(thread-purity): audited — per-thread defer target that
-// partitions parallel-phase state between executors instead of sharing it;
-// always null outside fire_tickers_parallel, so pool workers are unaffected.
-thread_local Engine::DeferBuf* Engine::t_defer_ = nullptr;
-
-/// Persistent tick-worker group: one slot per worker, each on its own cache
-/// line, woken by a per-slot generation counter (spin with pause, then a
-/// condvar sleep for long idle stretches — drains, checkpoint barriers).
-struct Engine::TickWorkers {
-  static constexpr int kSpinsBeforeSleep = 1 << 14;
-
-  struct alignas(64) Slot {
-    std::atomic<std::uint64_t> go{0};
-    std::atomic<std::uint64_t> done{0};
-    std::atomic<bool> sleeping{false};
-    std::mutex m; /*own:guarded: guards cv sleep/wake handshake only*/
-    std::condition_variable cv;
-    std::thread th;
-    std::array<TickDomain, 2> domains{TickDomain::Main, TickDomain::Main};
-    int ndomains = 0;
-  };
-
-  TickWorkers(Engine& eng, unsigned n) : slots_(n) {
-    // Oversubscribed host (fewer cores than main + workers): a waiter's spin
-    // burns cycles the thread it waits on needs, so park almost immediately
-    // — the condvar/yield handoff costs a context switch, the spin costs a
-    // whole scheduler timeslice.
-    const unsigned hc = std::thread::hardware_concurrency();
-    spin_budget_ = (hc != 0 && hc < n + 1) ? 1 : kSpinsBeforeSleep;
-    // Static domain partition: the main thread always takes Cpu (the widest
-    // domain); one worker serves Gpu+Dram, two workers split them.
-    if (n == 1) {
-      slots_[0].domains = {TickDomain::Gpu, TickDomain::Dram};
-      slots_[0].ndomains = 2;
-    } else {
-      slots_[0].domains[0] = TickDomain::Gpu;
-      slots_[0].ndomains = 1;
-      slots_[1].domains[0] = TickDomain::Dram;
-      slots_[1].ndomains = 1;
-    }
-    for (unsigned w = 0; w < n; ++w) {
-      slots_[w].th = std::thread([this, &eng, w] { worker_main(eng, w); });
-    }
-  }
-
-  ~TickWorkers() {
-    quit_.store(true, std::memory_order_release);
-    for (Slot& s : slots_) {
-      s.go.fetch_add(1, std::memory_order_seq_cst);
-      if (s.sleeping.load(std::memory_order_seq_cst)) {
-        const std::lock_guard<std::mutex> lk(s.m);
-        s.cv.notify_one();
-      }
-    }
-    for (Slot& s : slots_) {
-      if (s.th.joinable()) s.th.join();
-    }
-  }
-
-  TickWorkers(const TickWorkers&) = delete;
-  TickWorkers& operator=(const TickWorkers&) = delete;
-
-  /// Release a worker into the current cycle's parallel phase. The store
-  /// publishes everything the main thread wrote since the last barrier (due
-  /// lists, cleared buffers, module state mutated by events). It must be
-  /// seq_cst, not release: with the worker's `sleeping` store and `go` load
-  /// this is a Dekker handshake, and a release store does not order the
-  /// following `sleeping` load, so each side could miss the other's write
-  /// and the worker would sleep through its wakeup.
-  void wake(Slot& s, std::uint64_t gen) {
-    s.go.store(gen, std::memory_order_seq_cst);
-    if (s.sleeping.load(std::memory_order_seq_cst)) {
-      const std::lock_guard<std::mutex> lk(s.m);
-      s.cv.notify_one();
-    }
-  }
-
-  void worker_main(Engine& eng, unsigned w) {
-    if (eng.worker_init_) eng.worker_init_(w);
-    Slot& s = slots_[w];
-    std::uint64_t seen = 0;
-    for (;;) {
-      std::uint64_t g = s.go.load(std::memory_order_acquire);
-      if (g == seen) {
-        int spins = 0;
-        while ((g = s.go.load(std::memory_order_acquire)) == seen) {
-          if (++spins < spin_budget_) {
-            cpu_pause();
-            continue;
-          }
-          std::unique_lock<std::mutex> lk(s.m);
-          s.sleeping.store(true, std::memory_order_seq_cst);
-          if (s.go.load(std::memory_order_seq_cst) == seen) {
-            s.cv.wait(lk, [&] {
-              return s.go.load(std::memory_order_acquire) != seen;
-            });
-          }
-          s.sleeping.store(false, std::memory_order_seq_cst);
-          g = s.go.load(std::memory_order_acquire);
-          break;
-        }
-      }
-      seen = g;
-      if (quit_.load(std::memory_order_acquire)) {
-        s.done.store(seen, std::memory_order_release);
-        return;
-      }
-      for (int i = 0; i < s.ndomains; ++i) {
-        eng.run_domain(s.domains[static_cast<std::size_t>(i)]);
-      }
-      // The release store publishes the worker's ticker/module mutations
-      // and defer buffer to the main thread's matching acquire spin.
-      s.done.store(seen, std::memory_order_release);
-    }
-  }
-
-  std::atomic<bool> quit_{false};
-  std::uint64_t gen_ = 0; /*own:worker: written by the main thread only*/
-  int spin_budget_ = kSpinsBeforeSleep; /*own:worker: set once in the ctor*/
-  std::vector<Slot> slots_;
-};
-
-Engine::Engine() : buckets_(kWheelSize), tick_threads_(parse_tick_threads()) {}
+Engine::Engine() : buckets_(kWheelSize) {}
 
 Engine::~Engine() = default;
 
-bool Engine::deferring() { return t_defer_ != nullptr; }
-
-void Engine::defer_host(HostFn fn) {
-  DeferBuf* b = t_defer_;
-  if (b == nullptr) {
-    fn();
-    return;
-  }
-  b->ops.push_back(
-      DeferredOp{b->cur_ticker, false, 0, Action{}, std::move(fn)});
-}
-
-void Engine::ensure_workers() {
-  if (workers_ != nullptr) return;
-  const unsigned n = tick_threads_ > 2 ? 2U : tick_threads_ - 1;
-  workers_ = std::make_unique<TickWorkers>(*this, n);
-}
-
 void Engine::schedule(Cycle delay, Action fn) {
-  if (DeferBuf* b = t_defer_; b != nullptr) {
-    // Parallel phase: park the event in the domain buffer. The barrier
-    // replay re-issues it on the main thread in serial order, so seq
-    // numbers (and therefore same-cycle FIFO order) match the serial path.
-    b->ops.push_back(
-        DeferredOp{b->cur_ticker, true, delay, std::move(fn), HostFn{}});
-    return;
-  }
   const Cycle when = now_ + delay;
   if (delay < kWheelSize) {
     // Direct insert: the bucket for `when` can only hold events of `when`
@@ -216,15 +34,10 @@ void Engine::schedule(Cycle delay, Action fn) {
 }
 
 void Engine::add_ticker(Cycle period, Cycle phase, TickFn fn) {
-  add_ticker(TickDomain::Main, period, phase, std::move(fn));
-}
-
-void Engine::add_ticker(TickDomain domain, Cycle period, Cycle phase,
-                        TickFn fn) {
   const Cycle ph = phase % period;
   const Cycle rem = now_ % period;
   const Cycle first = now_ + (ph >= rem ? ph - rem : period - (rem - ph));
-  tickers_.push_back(Ticker{period, first, domain, std::move(fn)});
+  tickers_.push_back(Ticker{period, first, std::move(fn)});
   min_next_fire_ = std::min(min_next_fire_, first);
 }
 
@@ -257,17 +70,6 @@ void Engine::drain_bucket() {
 }
 
 void Engine::fire_tickers() {
-  if (tick_threads_ > 1) {
-    fire_tickers_parallel();
-    return;
-  }
-  fire_due_serial();
-}
-
-void Engine::fire_due_serial() {
-  // The serial reference: all due tickers in registration order, schedules
-  // applied directly (t_defer_ is null here). GPUQOS_TICK_THREADS=1 runs
-  // exactly this path, and the parallel path must be bit-identical to it.
   Cycle next_min = kNoCycle;
   for (auto& t : tickers_) {
     if (t.next_fire == now_) {
@@ -277,138 +79,6 @@ void Engine::fire_due_serial() {
     }
     next_min = std::min(next_min, t.next_fire);
   }
-  min_next_fire_ = next_min;
-}
-
-void Engine::run_domain(TickDomain d) {
-  const int di = static_cast<int>(d);
-  DeferBuf& buf = bufs_[static_cast<std::size_t>(di)];
-  t_defer_ = &buf;
-  for (const std::uint32_t idx : due_[static_cast<std::size_t>(di)]) {
-    Ticker& t = tickers_[idx];
-    buf.cur_ticker = idx;
-    t.fn(now_);
-    t.next_fire += t.period;
-    ++buf.fired;
-  }
-  t_defer_ = nullptr;
-}
-
-void Engine::fire_tickers_parallel() {
-  // Classify due tickers by domain; each list is ascending in registration
-  // index because tickers_ is scanned in order.
-  for (auto& v : due_) v.clear();
-  for (std::uint32_t i = 0; i < tickers_.size(); ++i) {
-    if (tickers_[i].next_fire == now_) {
-      due_[static_cast<std::size_t>(tickers_[i].domain)].push_back(i);
-    }
-  }
-  constexpr auto kMain = static_cast<std::size_t>(TickDomain::Main);
-  int pdomains = 0;
-  for (std::size_t d = 1; d < due_.size(); ++d) {
-    pdomains += due_[d].empty() ? 0 : 1;
-  }
-  if (pdomains < 2) {
-    // Zero or one parallel domain due: serial firing in registration order
-    // is already the exact answer and skips the barrier entirely. With the
-    // standard dividers this covers every cycle not ≡ 0 or 1 (mod 4).
-    fire_due_serial();
-    return;
-  }
-  // Ordering contract: the parallel phase runs before the Main phase, so a
-  // due Main ticker registered *before* a due parallel ticker would fire in
-  // the wrong relative order. Registration in HeteroCmp guarantees this
-  // never happens (the governor's phase never coincides with the GPU's);
-  // check it every parallel cycle so a future re-wiring fails loudly.
-  if (!due_[kMain].empty()) {
-    std::uint32_t max_par = 0;
-    for (std::size_t d = 1; d < due_.size(); ++d) {
-      if (!due_[d].empty()) max_par = std::max(max_par, due_[d].back());
-    }
-    GPUQOS_CHECK(due_[kMain].front() > max_par,
-                 "parallel tick ordering contract violated at cycle "
-                     << now_ << ": main-domain ticker #" << due_[kMain].front()
-                     << " registered before parallel ticker #" << max_par
-                     << " and both are due");
-  }
-  ensure_workers();
-  for (std::size_t d = 1; d < bufs_.size(); ++d) {
-    bufs_[d].ops.clear();
-    bufs_[d].fired = 0;
-  }
-  const std::uint64_t gen = ++workers_->gen_;
-  std::array<bool, 2> engaged{false, false};
-  for (std::size_t w = 0; w < workers_->slots_.size(); ++w) {
-    TickWorkers::Slot& s = workers_->slots_[w];
-    for (int i = 0; i < s.ndomains; ++i) {
-      const auto d = static_cast<std::size_t>(
-          s.domains[static_cast<std::size_t>(i)]);
-      if (!due_[d].empty()) {
-        engaged[w] = true;
-        break;
-      }
-    }
-    if (engaged[w]) workers_->wake(s, gen);
-  }
-  // The main thread takes the Cpu domain (the widest: one ticker per core)
-  // while the workers run Gpu/Dram.
-  if (!due_[static_cast<std::size_t>(TickDomain::Cpu)].empty()) {
-    run_domain(TickDomain::Cpu);
-  }
-  for (std::size_t w = 0; w < workers_->slots_.size(); ++w) {
-    if (!engaged[w]) continue;
-    TickWorkers::Slot& s = workers_->slots_[w];
-    // Bounded spin, then yield: on an oversubscribed host an unbounded
-    // pause-spin would hold the core the worker needs to finish.
-    int spins = 0;
-    while (s.done.load(std::memory_order_acquire) != gen) {
-      if (++spins < workers_->spin_budget_) {
-        cpu_pause();
-      } else {
-        std::this_thread::yield();
-      }
-    }
-  }
-  // Barrier reached. Replay deferred cross-domain ops merged by originating
-  // ticker index: each buffer is ascending and a ticker belongs to exactly
-  // one domain, so the k-way merge reproduces the serial interleaving (and
-  // the serial event seq numbering — schedule() runs direct here).
-  std::array<std::size_t, kNumTickDomains> cur{};
-  for (;;) {
-    int best = -1;
-    std::uint32_t best_idx = 0;
-    for (std::size_t d = 1; d < bufs_.size(); ++d) {
-      DeferBuf& b = bufs_[d];
-      if (cur[d] < b.ops.size()) {
-        const std::uint32_t ti = b.ops[cur[d]].ticker;
-        if (best < 0 || ti < best_idx) {
-          best = static_cast<int>(d);
-          best_idx = ti;
-        }
-      }
-    }
-    if (best < 0) break;
-    auto& slot = cur[static_cast<std::size_t>(best)];
-    DeferredOp& op = bufs_[static_cast<std::size_t>(best)].ops[slot++];
-    if (op.is_schedule) {
-      schedule(op.delay, std::move(op.act));
-    } else {
-      op.host();
-    }
-  }
-  std::uint64_t fired = 0;
-  for (std::size_t d = 1; d < bufs_.size(); ++d) fired += bufs_[d].fired;
-  // Main-domain tickers observe the fully merged cycle state, exactly as
-  // they would at their serial position (the ordering contract above).
-  for (const std::uint32_t idx : due_[kMain]) {
-    Ticker& t = tickers_[idx];
-    t.fn(now_);
-    ++fired;
-    t.next_fire += t.period;
-  }
-  ticks_run_ += fired;
-  Cycle next_min = kNoCycle;
-  for (const auto& t : tickers_) next_min = std::min(next_min, t.next_fire);
   min_next_fire_ = next_min;
 }
 

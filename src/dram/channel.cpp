@@ -148,16 +148,10 @@ void Channel::service_cas(DramQueueEntry&& entry, Bank& bank) {
 
   const bool gpu = entry.req.source.is_gpu();
   if (telemetry_ != nullptr) {
-    // Telemetry histograms are shared with the ring (which records at the
-    // cycle barrier during a parallel tick), so route these through the
-    // defer buffer too; outside the parallel phase this runs inline.
     const Cycle qlat =
         cas_issue >= entry.arrival ? cas_issue - entry.arrival : 0;
-    const Cycle slat = done - cas_issue;
-    Engine::defer_host([t = telemetry_, gpu, qlat, slat] {
-      t->record_latency(LatStage::DramQueue, gpu, qlat);
-      t->record_latency(LatStage::DramService, gpu, slat);
-    });
+    telemetry_->record_latency(LatStage::DramQueue, gpu, qlat);
+    telemetry_->record_latency(LatStage::DramService, gpu, done - cas_issue);
   }
   *st_bytes_[write][gpu] += 64;
   if (!write) {

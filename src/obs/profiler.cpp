@@ -50,27 +50,11 @@ void Profiler::stop() {
           .count();
 }
 
-namespace {
-// Lane index of the calling thread; lane 0 (main) unless the engine's
-// worker-init hook selected another via set_thread_lane().
-// NOLINT-gpuqos(thread-purity): audited — per-thread lane selector that
-// *partitions* profiler state between threads instead of sharing it, and a
-// pool worker inherits the default main lane for its own Profiler instance.
-thread_local int t_prof_lane = 0;
-}  // namespace
-
-void Profiler::set_thread_lane(int lane) {
-  t_prof_lane = lane < 0 ? 0 : (lane >= kMaxLanes ? kMaxLanes - 1 : lane);
-}
-
-Profiler::Lane& Profiler::this_lane() { return lanes_[t_prof_lane]; }
-
 void Profiler::enter(ProfModule m, std::uint32_t scale) {
-  Lane& lane = this_lane();
-  GPUQOS_CHECK(lane.depth < kMaxDepth, "profiler scope depth exceeds "
-                                           << kMaxDepth << " entering "
-                                           << to_string(m));
-  Frame& f = lane.stack[lane.depth++];
+  GPUQOS_CHECK(depth_ < kMaxDepth, "profiler scope depth exceeds "
+                                       << kMaxDepth << " entering "
+                                       << to_string(m));
+  Frame& f = stack_[depth_++];
   f.m = m;
   f.child = 0;
   f.scale = scale;
@@ -78,27 +62,20 @@ void Profiler::enter(ProfModule m, std::uint32_t scale) {
 }
 
 void Profiler::leave() {
-  Lane& lane = this_lane();
-  GPUQOS_CHECK(lane.depth > 0, "profiler leave() without enter()");
-  const Frame& f = lane.stack[--lane.depth];
+  GPUQOS_CHECK(depth_ > 0, "profiler leave() without enter()");
+  const Frame& f = stack_[--depth_];
   const std::uint64_t elapsed = now_ticks() - f.start;
   const std::uint64_t self = elapsed > f.child ? elapsed - f.child : 0;
-  Slot& s = lane.slots[static_cast<int>(phase_)][static_cast<int>(f.m)];
+  Slot& s = slots_[static_cast<int>(phase_)][static_cast<int>(f.m)];
   s.self_ticks += self * f.scale;
   s.entries += f.scale;
   // The parent sees the *real* elapsed time: extrapolation only scales this
   // module's attribution, never the enclosing frame's bookkeeping.
-  if (lane.depth > 0) lane.stack[lane.depth - 1].child += elapsed;
+  if (depth_ > 0) stack_[depth_ - 1].child += elapsed;
 }
 
 Profiler::Slot Profiler::slot(ProfPhase p, ProfModule m) const {
-  Slot out;
-  for (const Lane& lane : lanes_) {
-    const Slot& s = lane.slots[static_cast<int>(p)][static_cast<int>(m)];
-    out.self_ticks += s.self_ticks;
-    out.entries += s.entries;
-  }
-  return out;
+  return slots_[static_cast<int>(p)][static_cast<int>(m)];
 }
 
 void Profiler::flush(Cycle now) {
@@ -116,12 +93,10 @@ void Profiler::flush(Cycle now) {
 }
 
 void Profiler::merge(const Profiler& other) {
-  for (int l = 0; l < kMaxLanes; ++l) {
-    for (int p = 0; p < kNumProfPhases; ++p) {
-      for (int m = 0; m < kNumProfModules; ++m) {
-        lanes_[l].slots[p][m].self_ticks += other.lanes_[l].slots[p][m].self_ticks;
-        lanes_[l].slots[p][m].entries += other.lanes_[l].slots[p][m].entries;
-      }
+  for (int p = 0; p < kNumProfPhases; ++p) {
+    for (int m = 0; m < kNumProfModules; ++m) {
+      slots_[p][m].self_ticks += other.slots_[p][m].self_ticks;
+      slots_[p][m].entries += other.slots_[p][m].entries;
     }
   }
   std::uint64_t other_ticks = other.run_ticks_;
@@ -142,12 +117,8 @@ std::uint64_t Profiler::total_ticks() const {
 
 std::uint64_t Profiler::attributed_ticks() const {
   std::uint64_t t = 0;
-  for (const Lane& lane : lanes_) {
-    for (int p = 0; p < kNumProfPhases; ++p) {
-      for (int m = 0; m < kNumProfModules; ++m) {
-        t += lane.slots[p][m].self_ticks;
-      }
-    }
+  for (int p = 0; p < kNumProfPhases; ++p) {
+    for (int m = 0; m < kNumProfModules; ++m) t += slots_[p][m].self_ticks;
   }
   return t;
 }

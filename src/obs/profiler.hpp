@@ -18,14 +18,8 @@
 // stay on the host side).
 //
 // Pool safety: a Profiler has no global state; run_many() workers profile
-// into per-job instances that the caller merges with merge() at join.
-//
-// Parallel-tick safety: inside one run, tick workers (engine.hpp) enter and
-// leave scopes concurrently with the main thread. Each thread writes its own
-// cache-line-aligned lane (scope stack + slot matrix), selected by
-// set_thread_lane() from the engine's worker-init hook; readers (flush,
-// table, to_json, slot()) aggregate across lanes and only run on the main
-// thread between cycles, when workers are parked at the barrier.
+// into per-job instances that the caller merges with merge() at join. One
+// run ticks on one thread, so a single scope stack suffices.
 #pragma once
 
 #include <array>
@@ -115,11 +109,6 @@ class Profiler {
   void enter(ProfModule m, std::uint32_t scale = 1);
   void leave();
 
-  /// Select the calling thread's attribution lane (clamped to
-  /// [0, kMaxLanes)). The main thread defaults to lane 0; the engine's
-  /// tick workers take lanes 1..kMaxLanes-1 via the worker-init hook.
-  static void set_thread_lane(int lane);
-
   /// Record a cumulative snapshot of per-module self ticks (periodic flush;
   /// wired as an engine ticker by HeteroCmp::attach_telemetry).
   void flush(Cycle now);
@@ -129,7 +118,7 @@ class Profiler {
   /// concatenated; run windows add up.
   void merge(const Profiler& other);
 
-  /// Aggregated (across thread lanes) attribution for one phase x module.
+  /// Attribution for one phase x module.
   [[nodiscard]] Slot slot(ProfPhase p, ProfModule m) const;
   /// Ticks between start() and stop() (this instance + merged ones).
   [[nodiscard]] std::uint64_t total_ticks() const;
@@ -152,11 +141,6 @@ class Profiler {
   /// binlog (obs/binlog.hpp).
   void write_binlog(BinLogWriter& w) const;
 
- public:
-  /// Main thread + up to three tick workers (the engine spawns at most two
-  /// today; one spare lane keeps the clamp cheap).
-  static constexpr int kMaxLanes = 4;
-
  private:
   static constexpr int kMaxDepth = 16;
 
@@ -167,17 +151,9 @@ class Profiler {
     std::uint32_t scale = 1;
   };
 
-  /// One thread's attribution state, cache-line aligned so concurrent
-  /// enter/leave on different lanes never share a line.
-  struct alignas(64) Lane {
-    Slot slots[kNumProfPhases][kNumProfModules];
-    Frame stack[kMaxDepth];
-    int depth = 0;
-  };
-
-  [[nodiscard]] Lane& this_lane();
-
-  Lane lanes_[kMaxLanes];
+  Slot slots_[kNumProfPhases][kNumProfModules];
+  Frame stack_[kMaxDepth];
+  int depth_ = 0;
   ProfPhase phase_ = ProfPhase::Warm;
 
   bool running_ = false;

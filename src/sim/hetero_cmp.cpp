@@ -85,12 +85,7 @@ class CheckFrameTee : public FrameObserver {
   void on_llc_access(Cycle gpu_now) override { inner_.on_llc_access(gpu_now); }
   void on_frame_complete(Cycle gpu_now) override {
     inner_.on_frame_complete(gpu_now);
-    // During a parallel tick this fires on the GPU domain's worker while the
-    // other domains are still mid-cycle; the audit reads every module, so it
-    // must run at the barrier — which is also its exact serial position,
-    // because the frame-completing pipeline tick is the last parallel ticker
-    // and every deferred op it follows replays first.
-    Engine::defer_host([this] { check_.audit(engine_.now()); });
+    check_.audit(engine_.now());
   }
 
  private:
@@ -265,8 +260,7 @@ HeteroCmp::HeteroCmp(const SimConfig& cfg, Policy policy,
                                                std::move(stream), *stats_));
     wire_core(i);
     CpuCore* core = cores_.back().get();
-    engine_->add_ticker(Engine::TickDomain::Cpu, 1, 0,
-                        [core](Cycle now) { core->tick(now); });
+    engine_->add_ticker(1, 0, [core](Cycle now) { core->tick(now); });
   }
 
   wire_llc();
@@ -298,31 +292,19 @@ HeteroCmp::HeteroCmp(const SimConfig& cfg, Policy policy,
 
   // GPU-side tickers at the GPU clock: memory interface first so this
   // cycle's allowance drains before the pipeline refills the queue.
-  // Gpu-domain: during a parallel tick they run on a worker thread; all
-  // their cross-domain traffic (ring sends, frame-boundary audits) defers
-  // to the cycle barrier. Note the governor (registered above, inside
-  // QosGovernor) stays Main-domain: its phase-1 schedule never coincides
-  // with these phase-0 tickers, which the engine's ordering check enforces.
   GpuMemInterface* gmi = gmi_.get();
   GpuPipeline* pipe = pipeline_.get();
-  engine_->add_ticker(Engine::TickDomain::Gpu, kGpuClockDivider, 0,
-                      [gmi](Cycle now) { gmi->tick(base_to_gpu_cycles(now)); });
-  engine_->add_ticker(Engine::TickDomain::Gpu, kGpuClockDivider, 0,
-                      [pipe](Cycle now) {
-                        pipe->tick_gpu(base_to_gpu_cycles(now));
-                      });
+  engine_->add_ticker(kGpuClockDivider, 0, [gmi](Cycle now) {
+    gmi->tick(base_to_gpu_cycles(now));
+  });
+  engine_->add_ticker(kGpuClockDivider, 0, [pipe](Cycle now) {
+    pipe->tick_gpu(base_to_gpu_cycles(now));
+  });
 
   // Stamp GPUQOS_LOG messages with the simulation cycle while this CMP is the
   // active simulation (cleared in the destructor).
   Engine* eng = engine_.get();
   set_log_cycle_source([eng] { return eng->now(); });
-
-  // Tick workers are fresh threads: give them the same log cycle source and
-  // a private profiler lane (lane 0 is the main thread's).
-  engine_->set_worker_init([eng](unsigned w) {
-    set_log_cycle_source([eng] { return eng->now(); });
-    Profiler::set_thread_lane(static_cast<int>(w) + 1);
-  });
 }
 
 HeteroCmp::~HeteroCmp() {
