@@ -3,7 +3,9 @@
 //
 //   1. end_to_end — full HeteroCmp simulations (M1 and M8 under Baseline and
 //      ThrotCPUprio) timed for a fixed simulated-cycle budget: simulated
-//      kilocycles/sec plus engine event/ticker throughput on THIS build.
+//      kilocycles/sec plus engine event/ticker throughput on THIS build, and
+//      ticks and events per simulated kilocycle (the interval tickers'
+//      parked modules show up as the drop in ticks per kcycle).
 //   2. engine_core_ab — the speedup claim. The same synthetic workload,
 //      shaped like the M8 hetero run (ticker period multiset of the real
 //      machine, event density and payload size measured from section 1),
@@ -58,6 +60,12 @@ struct EndToEnd {
   }
   [[nodiscard]] double events_per_sec() const {
     return seconds > 0 ? static_cast<double>(events) / seconds : 0.0;
+  }
+  [[nodiscard]] double ticks_per_kcycle() const {
+    return cycles > 0 ? static_cast<double>(ticks) * 1e3 / cycles : 0.0;
+  }
+  [[nodiscard]] double events_per_kcycle() const {
+    return cycles > 0 ? static_cast<double>(events) * 1e3 / cycles : 0.0;
   }
 };
 
@@ -195,16 +203,18 @@ double time_sweep(const HeteroMix& m, const RunScale& scale, unsigned jobs,
 }
 
 void json_end_to_end(std::ostream& os, const EndToEnd& r, bool last) {
-  char buf[256];
+  char buf[320];
   std::snprintf(buf, sizeof buf,
                 "    {\"mix\": \"%s\", \"policy\": \"%s\", \"sim_cycles\": "
                 "%llu, \"events\": %llu, \"ticks\": %llu, \"seconds\": %.4f, "
-                "\"sim_kcycles_per_sec\": %.1f, \"events_per_sec\": %.0f}%s\n",
+                "\"sim_kcycles_per_sec\": %.1f, \"events_per_sec\": %.0f, "
+                "\"ticks_per_kcycle\": %.1f, \"events_per_kcycle\": %.1f}%s\n",
                 r.mix_id.c_str(), to_string(r.policy).c_str(),
                 static_cast<unsigned long long>(r.cycles),
                 static_cast<unsigned long long>(r.events),
                 static_cast<unsigned long long>(r.ticks), r.seconds,
-                r.kcycles_per_sec(), r.events_per_sec(), last ? "" : ",");
+                r.kcycles_per_sec(), r.events_per_sec(), r.ticks_per_kcycle(),
+                r.events_per_kcycle(), last ? "" : ",");
   os << buf;
 }
 
@@ -253,9 +263,11 @@ int main(int argc, char** argv) {
     for (Policy p : {Policy::Baseline, Policy::ThrottleCpuPrio}) {
       e2e.push_back(run_end_to_end(mix(mix_id), p, e2e_budget));
       const EndToEnd& r = e2e.back();
-      std::printf("  %-3s %-13s %9.1f sim kcycles/s  %11.0f events/s\n",
+      std::printf("  %-3s %-13s %9.1f sim kcycles/s  %11.0f events/s  "
+                  "%7.1f ticks/kcycle  %6.1f events/kcycle\n",
                   r.mix_id.c_str(), to_string(r.policy).c_str(),
-                  r.kcycles_per_sec(), r.events_per_sec());
+                  r.kcycles_per_sec(), r.events_per_sec(),
+                  r.ticks_per_kcycle(), r.events_per_kcycle());
     }
   }
 

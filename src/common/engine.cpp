@@ -33,12 +33,71 @@ void Engine::schedule(Cycle delay, Action fn) {
   }
 }
 
-void Engine::add_ticker(Cycle period, Cycle phase, TickFn fn) {
+Engine::TickerId Engine::add_ticker(Cycle period, Cycle phase, TickFn fn) {
   const Cycle ph = phase % period;
   const Cycle rem = now_ % period;
   const Cycle first = now_ + (ph >= rem ? ph - rem : period - (rem - ph));
-  tickers_.push_back(Ticker{period, first, std::move(fn)});
+  tickers_.push_back(Ticker{period, ph, kNoCycle, std::move(fn)});
+  next_fire_.push_back(first);
   min_next_fire_ = std::min(min_next_fire_, first);
+  return tickers_.size() - 1;
+}
+
+Cycle Engine::align_up(const Ticker& t, Cycle c) {
+  if (t.period == 1) return c;  // every cycle is nominal; skip the divide
+  return c + (t.phase + t.period - c % t.period) % t.period;
+}
+
+Cycle Engine::next_nominal(TickerId id) const {
+  const Ticker& t = tickers_[id];
+  if (t.parked_from == kNoCycle) return next_fire_[id];
+  const Cycle c = align_up(t, now_);
+  return c == now_ && turn_passed(id) ? c + t.period : c;
+}
+
+void Engine::park(TickerId id) {
+  Ticker& t = tickers_[id];
+  if (t.parked_from == kNoCycle) {
+    t.parked_from = next_fire_[id];
+    ++parked_count_;
+  }
+  // A stale (early) min_next_fire_ only costs one sweep that finds nothing.
+  next_fire_[id] = kNoCycle;
+}
+
+void Engine::sleep_until(TickerId id, Cycle when) {
+  const Cycle nominal = next_nominal(id);
+  if (when <= nominal) {
+    wake(id);
+    return;
+  }
+  Ticker& t = tickers_[id];
+  if (t.parked_from == kNoCycle) {
+    t.parked_from = nominal;
+    ++parked_count_;
+  }
+  next_fire_[id] = align_up(t, when);
+  min_next_fire_ = std::min(min_next_fire_, next_fire_[id]);
+}
+
+void Engine::wake(TickerId id) {
+  Ticker& t = tickers_[id];
+  if (t.parked_from == kNoCycle) return;
+  const Cycle at = next_nominal(id);
+  unpark(t, at);
+  next_fire_[id] = at;
+  // Re-armed for now_ in the middle of the sweep: the ticker is still ahead
+  // of the sweep position, which fires it and folds in its next cycle.
+  // Lowering the cached minimum to now_ here would leave it stale.
+  if (at != now_ || swept_cycle_ != now_) {
+    min_next_fire_ = std::min(min_next_fire_, at);
+  }
+}
+
+void Engine::unpark(Ticker& t, Cycle at) {
+  ticks_skipped_ += (at - t.parked_from) / t.period;
+  t.parked_from = kNoCycle;
+  --parked_count_;
 }
 
 void Engine::refill_wheel() {
@@ -53,8 +112,7 @@ void Engine::refill_wheel() {
   }
 }
 
-void Engine::drain_bucket() {
-  auto& bucket = buckets_[now_ & kWheelMask];
+void Engine::drain_bucket(std::vector<EventNode>& bucket) {
   // Index loop, size re-read each iteration: an action may schedule a
   // zero-delay event, which appends to this same bucket and (matching the
   // original engine's "run everything due" loop) still runs this cycle.
@@ -70,28 +128,47 @@ void Engine::drain_bucket() {
 }
 
 void Engine::fire_tickers() {
+  // The scan reads only the packed next_fire_ lane. next_fire is advanced
+  // before the callback so the callback may park or sleep its own ticker;
+  // swept_ is set first so wake() sees this ticker's turn as taken. Wakes
+  // during the sweep lower min_next_fire_, hence the reset and final merge.
+  swept_cycle_ = now_;
+  min_next_fire_ = kNoCycle;
   Cycle next_min = kNoCycle;
-  for (auto& t : tickers_) {
-    if (t.next_fire == now_) {
+  // Callbacks never register tickers, so the lane does not move under us.
+  Cycle* const next_fire = next_fire_.data();
+  const std::size_t n = next_fire_.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (next_fire[i] == now_) {
+      Ticker& t = tickers_[i];
+      if (t.parked_from != kNoCycle) unpark(t, now_);  // sleep deadline
+      next_fire[i] = now_ + t.period;
+      swept_ = i + 1;
       t.fn(now_);
       ++ticks_run_;
-      t.next_fire += t.period;
     }
-    next_min = std::min(next_min, t.next_fire);
+    next_min = std::min(next_min, next_fire[i]);
   }
-  min_next_fire_ = next_min;
+  swept_ = n;
+  min_next_fire_ = std::min(min_next_fire_, next_min);
 }
 
 void Engine::step_cycle() {
-  refill_wheel();
-  drain_bucket();
+  // The caller has refilled the wheel for now_.
+  auto& bucket = buckets_[now_ & kWheelMask];
+  if (!bucket.empty()) drain_bucket(bucket);
   if (min_next_fire_ == now_) fire_tickers();
-  // Zero-delay events scheduled by tickers still belong to this cycle.
-  drain_bucket();
+  // Zero-delay events scheduled by tickers still belong to this cycle. With
+  // no ticker fired the bucket is still empty: the first drain ran every
+  // event, including those appended during it.
+  if (!bucket.empty()) drain_bucket(bucket);
   ++now_;
 }
 
-void Engine::step() { step_cycle(); }
+void Engine::step() {
+  refill_wheel();
+  step_cycle();
+}
 
 Cycle Engine::next_event_cycle() const {
   if (near_count_ > 0) {
@@ -100,6 +177,29 @@ Cycle Engine::next_event_cycle() const {
     }
   }
   return far_.empty() ? kNoCycle : far_.front().when;
+}
+
+Cycle Engine::next_event_before(Cycle limit) const {
+  if (near_count_ > 0) {
+    // Wheel events all lie within kWheelSize of now_ and before any far one.
+    const Cycle span = std::min(limit - now_, kWheelSize);
+    for (Cycle k = 0; k < span; ++k) {
+      if (!buckets_[(now_ + k) & kWheelMask].empty()) return now_ + k;
+    }
+    return limit;
+  }
+  return far_.empty() ? limit : std::min(limit, far_.front().when);
+}
+
+Cycle Engine::parked_nominal_min() const {
+  if (parked_count_ == 0) return kNoCycle;
+  Cycle m = kNoCycle;
+  for (TickerId i = 0; i < tickers_.size(); ++i) {
+    if (tickers_[i].parked_from == kNoCycle) continue;
+    m = std::min(m, next_nominal(i));
+    if (m == now_) break;
+  }
+  return m;
 }
 
 Cycle Engine::run_until(const std::function<bool()>& pred, Cycle max_cycles) {
@@ -111,9 +211,12 @@ Cycle Engine::run_until(const std::function<bool()>& pred, Cycle max_cycles) {
     if (buckets_[now_ & kWheelMask].empty() && min_next_fire_ > now_) {
       // Idle cycle: nothing can run until the next event or ticker. Jump
       // there (capped at `end`) without burning a loop iteration per cycle.
-      const Cycle target =
-          std::min({end, min_next_fire_, next_event_cycle()});
-      now_ = target;
+      // A parked ticker's nominal cycles bound the jump too, so pred is
+      // evaluated on the same cycles as if nothing ever parked; on such a
+      // cycle itself nothing runs, so the clock just moves on.
+      const Cycle bound =
+          std::min({end, min_next_fire_, parked_nominal_min()});
+      now_ = bound > now_ ? next_event_before(bound) : now_ + 1;
       continue;
     }
     step_cycle();
@@ -126,7 +229,7 @@ void Engine::run_for(Cycle cycles) {
   while (now_ < end) {
     refill_wheel();
     if (buckets_[now_ & kWheelMask].empty() && min_next_fire_ > now_) {
-      now_ = std::min({end, min_next_fire_, next_event_cycle()});
+      now_ = next_event_before(std::min(end, min_next_fire_));
       continue;
     }
     step_cycle();
@@ -166,11 +269,21 @@ void Engine::save(ckpt::StateWriter& w) const {
   w.u64(now_);
   w.u64(seq_);
   w.u64(events_run_);
-  w.u64(ticks_run_);
+  // Parked tickers are written as a never-parking engine would hold them:
+  // tick count including the turns they sat out, nominal next_fire.
+  std::uint64_t ticks = ticks_run_ + ticks_skipped_;
+  for (TickerId i = 0; i < tickers_.size(); ++i) {
+    const Ticker& t = tickers_[i];
+    if (t.parked_from != kNoCycle) {
+      ticks += (next_nominal(i) - t.parked_from) / t.period;
+    }
+  }
+  w.u64(ticks);
   w.u64(tickers_.size());
-  for (const auto& t : tickers_) {
+  for (TickerId i = 0; i < tickers_.size(); ++i) {
+    const Ticker& t = tickers_[i];
     w.u64(t.period);
-    w.u64(t.next_fire);
+    w.u64(t.parked_from == kNoCycle ? next_fire_[i] : next_nominal(i));
   }
 }
 
@@ -182,6 +295,9 @@ void Engine::load(ckpt::StateReader& r) {
   seq_ = r.u64();
   events_run_ = r.u64();
   ticks_run_ = r.u64();
+  ticks_skipped_ = 0;
+  swept_cycle_ = kNoCycle;
+  parked_count_ = 0;
   const std::uint64_t count = r.u64();
   if (count != tickers_.size()) {
     r.fail("ticker count mismatch (snapshot has " + std::to_string(count) +
@@ -191,7 +307,8 @@ void Engine::load(ckpt::StateReader& r) {
            "produced the snapshot");
   }
   min_next_fire_ = kNoCycle;
-  for (auto& t : tickers_) {
+  for (TickerId i = 0; i < tickers_.size(); ++i) {
+    Ticker& t = tickers_[i];
     const Cycle period = r.u64();
     const Cycle next_fire = r.u64();
     if (period != t.period) {
@@ -200,7 +317,8 @@ void Engine::load(ckpt::StateReader& r) {
              "); tickers must be registered in the same order with the same "
              "periods as the run that produced the snapshot");
     }
-    t.next_fire = next_fire;
+    next_fire_[i] = next_fire;
+    t.parked_from = kNoCycle;
     min_next_fire_ = std::min(min_next_fire_, next_fire);
   }
 }

@@ -22,6 +22,7 @@ void StatRegistry::set(const std::string& name, double value) {
 }
 
 std::uint64_t StatRegistry::counter(const std::string& name) const {
+  settle();
   auto it = counters_.find(name);
   return it == counters_.end() ? 0 : it->second;
 }
@@ -36,6 +37,7 @@ bool StatRegistry::has_counter(const std::string& name) const {
 }
 
 std::map<std::string, std::uint64_t> StatRegistry::counters() const {
+  settle();
   return counters_;
 }
 
@@ -51,12 +53,14 @@ std::uint64_t StatRegistry::since(
 }
 
 void StatRegistry::clear() {
+  settle();
   // Zero rather than erase: hot-path counter_ptr() pointers stay valid.
   for (auto& [name, value] : counters_) value = 0;
   for (auto& [name, value] : scalars_) value = 0.0;
 }
 
 std::string StatRegistry::report(const std::string& prefix) const {
+  settle();
   std::ostringstream os;
   for (const auto& [name, value] : counters_) {
     if (name.rfind(prefix, 0) == 0) os << name << ' ' << value << '\n';
@@ -68,6 +72,7 @@ std::string StatRegistry::report(const std::string& prefix) const {
 }
 
 std::string StatRegistry::to_json() const {
+  settle();
   std::ostringstream os;
   os << "{\"counters\":{";
   bool first = true;
@@ -88,6 +93,7 @@ std::string StatRegistry::to_json() const {
 }
 
 std::uint64_t StatRegistry::digest() const {
+  settle();
   Fnv1a64 h;
   for (const auto& [name, value] : counters_) {
     h.mix_string(name);
@@ -101,6 +107,7 @@ std::uint64_t StatRegistry::digest() const {
 }
 
 void StatRegistry::save(ckpt::StateWriter& w) const {
+  settle();
   w.u64(counters_.size());
   for (const auto& [name, value] : counters_) {
     w.str(name);

@@ -6,8 +6,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace gpuqos {
@@ -25,6 +27,14 @@ class StatRegistry {
   /// Stable pointer to a counter for hot paths (std::map nodes do not move).
   /// Callers cache the pointer once and bump it directly each cycle.
   [[nodiscard]] std::uint64_t* counter_ptr(const std::string& name);
+
+  /// Register a callback that brings lazily credited counters up to date (a
+  /// parked CpuCore's stall cycles). Every counter read below — counter,
+  /// counters, since, report, to_json, digest, save — and clear() run all
+  /// settlers first, so no reader can observe an unsettled value.
+  void add_settler(std::function<void()> fn) {
+    settlers_.push_back(std::move(fn));
+  }
 
   /// Set a scalar (gauge) value.
   void set(const std::string& name, double value);
@@ -64,8 +74,13 @@ class StatRegistry {
   void load(ckpt::StateReader& r);
 
  private:
+  void settle() const {
+    for (const auto& fn : settlers_) fn();
+  }
+
   std::map<std::string, std::uint64_t> counters_;
   std::map<std::string, double> scalars_;
+  std::vector<std::function<void()>> settlers_;  // ckpt:skip digest:skip: wiring
 };
 
 /// Geometric mean of strictly positive values; returns 0 for empty input.

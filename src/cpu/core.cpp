@@ -47,13 +47,57 @@ bool CpuCore::rob_full() const {
   return committed_ - oldest >= cfg_.rob_size;
 }
 
+void CpuCore::attach_ticker() {
+  ticker_ = engine_.add_ticker(1, 0, [this](Cycle now) { tick(now); });
+  stats_.add_settler([this] { settle_stalls(); });
+}
+
+void CpuCore::park(Park why, Cycle now) {
+  if (ticker_ == Engine::kNoTicker) return;
+  park_ = why;
+  credit_from_ = now + 1;
+  if (why == Park::Fixed) {
+    engine_.sleep_until(ticker_, resume_at_);
+  } else {
+    engine_.park(ticker_);
+  }
+}
+
+void CpuCore::credit_stalls(Cycle upto) {
+  std::uint64_t* counter = park_ == Park::Fixed       ? st_stall_fixed_
+                           : park_ == Park::Dependent ? st_stall_dep_
+                                                      : st_stall_rob_;
+  *counter += upto - credit_from_;
+  credit_from_ = upto;
+}
+
+void CpuCore::settle_stalls() {
+  if (park_ != Park::None) credit_stalls(engine_.next_nominal(ticker_));
+}
+
+void CpuCore::freeze() {
+  if (park_ != Park::None) {
+    settle_stalls();
+    park_ = Park::None;
+    engine_.wake(ticker_);
+  }
+  frozen_ = true;
+}
+
 void CpuCore::tick(Cycle now) {
   if (frozen_) return;
+  if (park_ != Park::None) {
+    // Woken (or a fixed stall's deadline): every skipped cycle before this
+    // one repeated the stall that parked the core.
+    credit_stalls(now);
+    park_ = Park::None;
+  }
   // Sampled (1-in-16) scope: a full rdtsc pair per core per base cycle
   // would dominate the <10% telemetry-overhead budget.
   SampledProfScope<16> prof(prof_, ProfModule::CpuCore, prof_decim_);
   if (now < resume_at_) {
     ++*st_stall_fixed_;
+    park(Park::Fixed, now);
     return;
   }
   if (blocking_miss_ >= 0) {
@@ -64,16 +108,12 @@ void CpuCore::tick(Cycle now) {
     // at issue is strictly increasing between mem ops... see execute_mem_op).
     if (it != outstanding_.end() && !it->done) {
       ++*st_stall_dep_;
+      park(Park::Dependent, now);
       return;
     }
     blocking_miss_ = -1;
   }
-  // Compact resolved misses (safe: no live references right now). Guarded by
-  // the done-count so the common all-in-flight tick skips the vector walk.
-  if (done_misses_ > 0) {
-    std::erase_if(outstanding_, [](const Miss& m) { return m.done; });
-    done_misses_ = 0;
-  }
+  compact_misses();
 
   unsigned budget = cfg_.commit_width;
   while (budget > 0) {
@@ -93,6 +133,7 @@ void CpuCore::tick(Cycle now) {
     }
     if (rob_full()) {
       ++*st_stall_rob_;
+      park(Park::Rob, now);
       break;
     }
     if (!execute_mem_op(now)) {
@@ -105,6 +146,15 @@ void CpuCore::tick(Cycle now) {
     has_pending_ = false;
     if (blocking_miss_ >= 0) break;  // dependent load: stop committing
     if (now < resume_at_) break;     // L2-hit penalty starts next cycle
+  }
+}
+
+void CpuCore::compact_misses() {
+  // Guarded by the done-count so the common all-in-flight tick skips the
+  // vector walk.
+  if (done_misses_ > 0) {
+    std::erase_if(outstanding_, [](const Miss& m) { return m.done; });
+    done_misses_ = 0;
   }
 }
 
@@ -207,6 +257,16 @@ void CpuCore::send_llc_read(Addr block, Cycle now, std::size_t miss_slot) {
                           SourceId::cpu(static_cast<std::uint8_t>(index_)),
                           GpuAccessClass::None, dirty_fill);
     if (ev1 && ev1->dirty) l2_insert(ev1->block_addr, /*dirty=*/true, when);
+    if (park_ == Park::Rob) {
+      // The next tick would compact the resolved entry and, unless this was
+      // the oldest miss, stall on the full window again: compact here and
+      // stay parked.
+      compact_misses();
+      if (!rob_full()) engine_.wake(ticker_);
+    } else if (park_ == Park::Dependent &&
+               blocking_miss_ == static_cast<std::int64_t>(id)) {
+      engine_.wake(ticker_);  // a dependent stall ends with its own miss
+    }
   };
   if (check_ != nullptr) {
     check_->on_inject(CheckContext::Flow::CpuRead);

@@ -6,6 +6,14 @@
 // (b) the reorder window past the oldest outstanding miss is exhausted, or
 // (c) L2 MSHRs are full. This captures the latency/bandwidth sensitivity the
 // paper's policies act on without simulating a full pipeline.
+//
+// The core works in intervals: once it stalls on (a) or (b) nothing changes
+// until a demand miss completes, and a fixed-latency stall ends at a known
+// cycle. A core driving its own engine ticker (attach_ticker) parks the
+// ticker through such stalls — woken by the miss completion, or asleep until
+// resume_at_ — and credits the skipped cycles to the stall counter lazily;
+// StatRegistry settles that credit before any read. Structural (MSHR-full)
+// stalls still retry every cycle.
 #pragma once
 
 #include <cstdint>
@@ -39,9 +47,17 @@ class CpuCore {
   void set_check(CheckContext* check) { check_ = check; }
   void set_profiler(Profiler* prof) { prof_ = prof; }
 
-  /// Advance one CPU cycle (registered as a period-1 ticker by HeteroCmp; or
-  /// called directly by tests).
+  /// Register this core's period-1 ticker on the engine and its stall
+  /// settler on the StatRegistry. Only a core registered this way parks.
+  void attach_ticker();
+
+  /// Advance one CPU cycle (the attach_ticker callback; or called directly
+  /// by tests, in which case the core never parks).
   void tick(Cycle now);
+
+  /// Credit the cycles skipped while parked, up to the current engine
+  /// position, to the stall counter of the parking stall.
+  void settle_stalls();
 
   /// Drop `addr` from the private hierarchy (LLC back-invalidation).
   /// Returns true when a dirty copy existed (the LLC then owns writing it
@@ -69,7 +85,9 @@ class CpuCore {
   /// returns immediately — no commits, no new misses, no stat bumps — while
   /// in-flight completions still land (they only mark outstanding_ entries
   /// done and fill caches). Freezing all injectors lets the engine drain.
-  void freeze() { frozen_ = true; }
+  /// A parked core settles its stall credit and unparks first: frozen cycles
+  /// are not stall cycles.
+  void freeze();
   void unfreeze() { frozen_ = false; }
   [[nodiscard]] bool frozen() const { return frozen_; }
 
@@ -93,12 +111,21 @@ class CpuCore {
     bool done = false;
   };
 
+  /// Why the ticker is parked; names the stall counter skipped cycles go to.
+  enum class Park : std::uint8_t { None, Fixed, Dependent, Rob };
+
+  /// Park the ticker after a stalled tick at `now` (no-op when hand-ticked).
+  void park(Park why, Cycle now);
+  /// Credit cycles [credit_from_, upto) to the parking stall's counter.
+  void credit_stalls(Cycle upto);
   /// Attempt to execute the pending memory op; false on a structural or
   /// dependency stall (commit cannot proceed this cycle).
   bool execute_mem_op(Cycle now);
   void send_llc_read(Addr block, Cycle now, std::size_t miss_slot);
   void send_llc_write(Addr block, Cycle now);
   [[nodiscard]] bool rob_full() const;
+  /// Drop resolved misses from outstanding_ (no live references allowed).
+  void compact_misses();
   void l2_insert(Addr block, bool dirty, Cycle now);
 
   Engine& engine_;
@@ -116,6 +143,12 @@ class CpuCore {
   bool has_pending_ = false;
   // Checkpoint barrier: tick() is a no-op while set, managed around save().
   bool frozen_ = false;  // ckpt:skip digest:skip: barrier flag
+  // Interval ticking. Host-side schedule only: the skipped cycles' stall
+  // credit is settled before every stats read, and freeze() unparks before
+  // any checkpoint, so none of it is simulated state.
+  Engine::TickerId ticker_ = Engine::kNoTicker;  // ckpt:skip digest:skip: wiring
+  Park park_ = Park::None;  // ckpt:skip digest:skip: None at the barrier
+  Cycle credit_from_ = 0;   // ckpt:skip digest:skip: first uncredited cycle
   std::uint32_t gap_left_ = 0;
 
   std::uint64_t committed_ = 0;

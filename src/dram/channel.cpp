@@ -42,6 +42,11 @@ Channel::Channel(Engine& engine, const DramConfig& cfg, unsigned index,
   st_wr_ = stats_.counter_ptr(ch + "wr");
 }
 
+void Channel::attach_ticker(Cycle phase) {
+  ticker_ = engine_.add_ticker(kDramClockDivider, phase,
+                               [this](Cycle) { tick(); });
+}
+
 void Channel::enqueue(DramQueueEntry entry) {
   entry.id = next_id_++;
   entry.arrival = engine_.now();
@@ -55,6 +60,7 @@ void Channel::enqueue(DramQueueEntry entry) {
     if (sched_) sched_->on_enqueue(entry);
     reads_.push_back(std::move(entry));
   }
+  if (ticker_ != Engine::kNoTicker) engine_.wake(ticker_);
 }
 
 std::int64_t Channel::pick_write(Cycle now) const {
@@ -100,7 +106,10 @@ void Channel::tick() {
   } else if (!reads_.empty() && sched_ != nullptr) {
     id = sched_->pick(reads_, BankView(banks_), now);
   }
-  if (id < 0) return;
+  if (id < 0) {
+    park_idle(serve_writes);
+    return;
+  }
 
   // Ids are assigned in enqueue order and erases keep the order, so the id
   // lane stays sorted and index_of binary-searches.
@@ -130,6 +139,28 @@ void Channel::tick() {
   DramQueueEntry entry = q.take(i);
   if (!serve_writes && sched_ != nullptr) sched_->on_issue(entry);
   service_cas(std::move(entry), bank);
+}
+
+void Channel::park_idle(bool serve_writes) {
+  if (ticker_ == Engine::kNoTicker) return;
+  // This tick changed nothing but the write-drain hysteresis, which is
+  // idempotent while the queues stand still; only enqueue() moves them.
+  if (reads_.empty() && writes_.empty()) {
+    engine_.park(ticker_);
+    return;
+  }
+  if (!serve_writes &&
+      (sched_ == nullptr || !sched_->idles_until_bank_ready())) {
+    return;
+  }
+  // Nothing issuable: every queued entry's bank is busy, and bank state only
+  // changes when this channel issues a command.
+  const DramQueue& q = serve_writes ? writes_ : reads_;
+  Cycle wake_at = kNoCycle;
+  for (std::size_t i = 0; i < q.size(); ++i) {
+    wake_at = std::min(wake_at, banks_[q.bank(i)].ready_at());
+  }
+  engine_.sleep_until(ticker_, wake_at);
 }
 
 void Channel::service_cas(DramQueueEntry&& entry, Bank& bank) {

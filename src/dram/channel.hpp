@@ -1,5 +1,12 @@
 // One DDR3 channel: banks, shared data bus, read queue (policy-scheduled) and
 // write queue with watermark-based draining.
+//
+// A channel driving its own engine ticker (attach_ticker) parks it while
+// both queues are empty, woken by enqueue(). When no queued entry's bank is
+// ready it sleeps until the earliest such bank's ready_at — for write
+// service always, for read service only under a scheduler that
+// idles_until_bank_ready(). Either way every skipped tick would have picked
+// nothing and changed nothing.
 #pragma once
 
 #include <cstdint>
@@ -33,10 +40,15 @@ class Channel {
   /// (Flow::DramRead / Flow::DramWrite: injected = retired exactly once).
   void set_check(CheckContext* check) { check_ = check; }
 
+  /// Register this channel's ticker at the DRAM command clock with the
+  /// given phase. Only a channel registered this way parks.
+  void attach_ticker(Cycle phase);
+
   /// Enqueue a request already mapped to this channel (bank/row decoded).
   void enqueue(DramQueueEntry entry);
 
-  /// Advance one DRAM command cycle.
+  /// Advance one DRAM command cycle (the attach_ticker callback; or called
+  /// directly by tests, in which case the channel never parks).
   void tick();
 
   [[nodiscard]] std::size_t read_queue_depth() const { return reads_.size(); }
@@ -63,6 +75,9 @@ class Channel {
  private:
   void service_cas(DramQueueEntry&& entry, Bank& bank);
   [[nodiscard]] std::int64_t pick_write(Cycle now) const;
+  /// After a tick that picked nothing: park or sleep the ticker when the
+  /// following ticks would pick nothing either.
+  void park_idle(bool serve_writes);
 
   Engine& engine_;
   DramConfig cfg_;       // ckpt:skip digest:skip: construction parameter
@@ -78,6 +93,7 @@ class Channel {
   // Sampled-profiling decimation counter (obs/profiler.hpp).
   std::uint32_t prof_decim_ = 0;  // ckpt:skip digest:skip: host-side only
   CheckContext* check_ = nullptr;
+  Engine::TickerId ticker_ = Engine::kNoTicker;  // ckpt:skip digest:skip: wiring
   Cycle bus_free_at_ = 0;
   bool draining_writes_ = false;
   std::uint64_t next_id_ = 0;

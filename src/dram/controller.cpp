@@ -18,9 +18,7 @@ DramController::DramController(Engine& engine, const DramConfig& cfg,
     schedulers_.push_back(factory(c));
     channels_.push_back(std::make_unique<Channel>(engine, cfg, c, stats));
     channels_.back()->set_scheduler(schedulers_.back().get());
-    Channel* ch = channels_.back().get();
-    engine.add_ticker(kDramClockDivider, /*phase=*/c % kDramClockDivider,
-                      [ch](Cycle) { ch->tick(); });
+    channels_.back()->attach_ticker(/*phase=*/c % kDramClockDivider);
   }
 }
 

@@ -13,6 +13,7 @@ class FrFcfsScheduler : public IDramScheduler {
 
   [[nodiscard]] std::int64_t pick(const DramQueue& queue,
                                   const BankView& banks, Cycle now) override;
+  [[nodiscard]] bool idles_until_bank_ready() const override { return true; }
 
  private:
   Cycle starvation_cap_;

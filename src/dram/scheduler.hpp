@@ -154,6 +154,12 @@ class IDramScheduler {
   /// Called when the chosen entry leaves the queue.
   virtual void on_issue(const DramQueueEntry& entry) { (void)entry; }
 
+  /// True when pick() keeps no state and returns -1 exactly when no queued
+  /// entry's bank is ready. Only then may a channel sleep until the earliest
+  /// queued bank's ready_at instead of calling pick() every DRAM cycle
+  /// (FR-FCFS and its filtered variants; SMS draws its RNG on every pick).
+  [[nodiscard]] virtual bool idles_until_bank_ready() const { return false; }
+
   /// Checkpoint hooks (docs/CHECKPOINT.md). Stateless policies (FR-FCFS and
   /// its filtered variants consult only the queue and QosSignals) keep the
   /// defaults; stateful ones (SMS: batching RNG + round-robin cursor)

@@ -22,6 +22,7 @@ class DynPrioScheduler : public IDramScheduler {
 
   [[nodiscard]] std::int64_t pick(const DramQueue& queue,
                                   const BankView& banks, Cycle now) override;
+  [[nodiscard]] bool idles_until_bank_ready() const override { return true; }
 
  private:
   const QosSignals* signals_;

@@ -259,8 +259,7 @@ HeteroCmp::HeteroCmp(const SimConfig& cfg, Policy policy,
     cores_.push_back(std::make_unique<CpuCore>(*engine_, cfg.core, i,
                                                std::move(stream), *stats_));
     wire_core(i);
-    CpuCore* core = cores_.back().get();
-    engine_->add_ticker(1, 0, [core](Cycle now) { core->tick(now); });
+    cores_.back()->attach_ticker();
   }
 
   wire_llc();

@@ -191,6 +191,104 @@ TEST(CpuCore, MshrLimitBoundsOutstanding) {
   EXPECT_LE(h.core.outstanding_misses(), 5u);  // 4 live + compaction slack
 }
 
+/// A core whose memory holds every eighth miss for 600 cycles (60 for the
+/// rest), either on its own parking ticker (attach_ticker) or ticked by hand
+/// every cycle.
+struct ParityHarness {
+  Engine engine;
+  StatRegistry stats;
+  CpuCore core;
+  unsigned reads = 0;
+
+  ParityHarness(const SpecProfile& p, bool parking)
+      : core(engine, CpuCoreConfig{}, 0,
+             std::make_unique<CpuStream>(p, 0x1000000, Rng(11)), stats) {
+    core.set_mem_port([this](MemRequest&& r) {
+      if (!r.on_complete) return;
+      const Cycle latency = reads++ % 8 == 0 ? 600 : 60;
+      auto cb = std::move(r.on_complete);
+      engine.schedule(latency, [cb, this] { cb(engine.now()); });
+    });
+    if (parking) {
+      core.attach_ticker();
+    } else {
+      engine.add_ticker(1, 0, [this](Cycle now) { core.tick(now); });
+    }
+  }
+
+  [[nodiscard]] std::vector<std::uint64_t> stalls() const {
+    return {stats.counter("cpu0.stall_fixed"),
+            stats.counter("cpu0.stall_dependent"),
+            stats.counter("cpu0.stall_rob"),
+            stats.counter("cpu0.stall_structural")};
+  }
+};
+
+SpecProfile stall_heavy_profile() {
+  SpecProfile p = simple_profile();
+  p.llc_apki = 40.0;
+  p.llc_ws_bytes = 2 * MiB;  // misses the private caches
+  p.dependent_fraction = 0.5;
+  return p;
+}
+
+TEST(CpuCoreParking, StallCountersMatchHandTickedCoreEveryCycle) {
+  ParityHarness parked(stall_heavy_profile(), true);
+  ParityHarness ticked(stall_heavy_profile(), false);
+  for (Cycle c = 0; c < 30000; ++c) {
+    parked.engine.run_for(1);
+    ticked.engine.run_for(1);
+    ASSERT_EQ(parked.stalls(), ticked.stalls()) << "after cycle " << c;
+    if (c % 64 == 0) {  // the cache digests are the slow part
+      ASSERT_EQ(parked.core.digest(), ticked.core.digest()) << "cycle " << c;
+    }
+  }
+  // Every parking stall kind occurred, and parking skipped most ticks.
+  const std::vector<std::uint64_t> st = ticked.stalls();
+  EXPECT_GT(st[0], 0u);
+  EXPECT_GT(st[1], 0u);
+  EXPECT_GT(st[2], 0u);
+  EXPECT_LT(parked.engine.ticks_run() * 2, ticked.engine.ticks_run());
+  EXPECT_EQ(parked.stats.digest(), ticked.stats.digest());
+}
+
+TEST(CpuCoreParking, SparseReadsDuringHeldMissesMatch) {
+  // Reads far apart, in the middle of held misses: the lazy credit must not
+  // depend on how often it is settled.
+  ParityHarness parked(stall_heavy_profile(), true);
+  ParityHarness ticked(stall_heavy_profile(), false);
+  for (int i = 0; i < 200; ++i) {
+    parked.engine.run_for(317);
+    ticked.engine.run_for(317);
+    ASSERT_EQ(parked.stalls(), ticked.stalls()) << "read " << i;
+    ASSERT_EQ(parked.stats.to_json(), ticked.stats.to_json()) << "read " << i;
+  }
+}
+
+TEST(CpuCoreParking, FreezeSettlesAndUnparks) {
+  ParityHarness parked(stall_heavy_profile(), true);
+  ParityHarness ticked(stall_heavy_profile(), false);
+  for (int i = 0; i < 20; ++i) {
+    parked.engine.run_for(1000 + 37 * i);
+    ticked.engine.run_for(1000 + 37 * i);
+    parked.core.freeze();
+    ticked.core.freeze();
+    ASSERT_EQ(parked.stalls(), ticked.stalls()) << "at freeze " << i;
+    // Frozen cycles are not stall cycles; held misses still land.
+    parked.engine.run_for(700);
+    ticked.engine.run_for(700);
+    ASSERT_EQ(parked.stalls(), ticked.stalls()) << "while frozen " << i;
+    ASSERT_TRUE(parked.core.quiescent());
+    parked.core.unfreeze();
+    ticked.core.unfreeze();
+    ASSERT_EQ(parked.core.digest(), ticked.core.digest()) << "unfreeze " << i;
+  }
+  parked.engine.run_for(5000);
+  ticked.engine.run_for(5000);
+  EXPECT_EQ(parked.stalls(), ticked.stalls());
+  EXPECT_EQ(parked.core.committed(), ticked.core.committed());
+}
+
 TEST(SpecProfiles, AllMixIdsHaveProfiles) {
   for (int id : {401, 403, 410, 429, 433, 434, 437, 450, 462, 470, 471, 481,
                  482}) {

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include "common/qos_signals.hpp"
 #include "common/rng.hpp"
 #include "dram/bank.hpp"
 #include "dram/frfcfs.hpp"
+#include "sched/cpu_prio.hpp"
 
 namespace gpuqos {
 namespace {
@@ -210,6 +212,71 @@ TEST(Controller, WriteDrainServesWrites) {
   engine.run_until([&] { return dram.idle(); }, 500000);
   EXPECT_TRUE(dram.idle());
   EXPECT_EQ(stats.counter("dram.writes"), 60u);
+}
+
+/// The same seeded request stream through a DramController-registered
+/// (parking) channel and a hand-ticked one; bursts alternate with quiet
+/// stretches so both the empty-queue park and the bank-busy sleep occur.
+void expect_parking_channel_matches(bool cpu_prio) {
+  DramConfig cfg;
+  cfg.channels = 1;
+  QosSignals signals;
+  auto make_sched = [&]() -> std::unique_ptr<IDramScheduler> {
+    if (cpu_prio) return std::make_unique<CpuPriorityScheduler>(&signals);
+    return std::make_unique<FrFcfsScheduler>();
+  };
+
+  Engine pe;
+  StatRegistry pstats;
+  DramController dram(pe, cfg, pstats, [&](unsigned) { return make_sched(); });
+
+  Engine te;
+  StatRegistry tstats;
+  Channel ticked(te, cfg, 0, tstats);
+  const std::unique_ptr<IDramScheduler> tsched = make_sched();
+  ticked.set_scheduler(tsched.get());
+  te.add_ticker(kDramClockDivider, 0, [&](Cycle) { ticked.tick(); });
+
+  Rng rng(cpu_prio ? 21 : 22);
+  int pdone = 0;
+  int tdone = 0;
+  for (Cycle c = 0; c < 60000; ++c) {
+    if (c % 700 == 0) signals.cpu_prio_boost = !signals.cpu_prio_boost;
+    const double rate = c % 4000 < 1500 ? 0.12 : 0.004;
+    if (rng.bernoulli(rate)) {
+      MemRequest req;
+      req.addr = rng.next_below(1 << 14) * 64;
+      req.is_write = rng.bernoulli(0.3);
+      req.source = rng.bernoulli(0.5) ? SourceId::gpu() : SourceId::cpu(1);
+      DramQueueEntry e;
+      e.bank = dram.bank_of(req.addr);
+      e.row = dram.row_of(req.addr);
+      e.req = req;
+      if (!req.is_write) {
+        req.on_complete = [&pdone](Cycle) { ++pdone; };
+        e.req.on_complete = [&tdone](Cycle) { ++tdone; };
+      }
+      dram.request(std::move(req));
+      ticked.enqueue(std::move(e));
+    }
+    pe.run_for(1);
+    te.run_for(1);
+    ASSERT_EQ(dram.channel(0).digest(), ticked.digest()) << "cycle " << c;
+    ASSERT_EQ(pstats.counters(), tstats.counters()) << "cycle " << c;
+    ASSERT_EQ(pdone, tdone) << "cycle " << c;
+  }
+  EXPECT_GT(pdone, 1000);
+  EXPECT_GT(pstats.counter("dram.ch0.act"), 0u);
+  EXPECT_GT(pstats.counter("dram.ch0.wr"), 0u);
+  EXPECT_LT(pe.ticks_run() * 4, te.ticks_run() * 3);  // it did park
+}
+
+TEST(ChannelParking, FrFcfsMatchesHandTickedChannel) {
+  expect_parking_channel_matches(false);
+}
+
+TEST(ChannelParking, CpuPrioMatchesHandTickedChannelAcrossBoostFlips) {
+  expect_parking_channel_matches(true);
 }
 
 }  // namespace

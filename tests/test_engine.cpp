@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "ckpt/state_io.hpp"
 #include "common/engine_ref.hpp"
 #include "common/rng.hpp"
 #include "common/smallfn.hpp"
@@ -187,6 +188,204 @@ TEST(EngineWheel, DigestReflectsQueueState) {
   EXPECT_EQ(a.digest(), b.digest());
   a.schedule(1000, [] {});  // far-heap occupancy too
   EXPECT_NE(a.digest(), b.digest());
+}
+
+// ---------------------------------------------------------------------------
+// Interval tickers: park / sleep_until / wake.
+
+TEST(EnginePark, TickerParksItselfUntilWoken) {
+  Engine e;
+  std::vector<Cycle> fires;
+  Engine::TickerId id = 0;
+  id = e.add_ticker(1, 0, [&](Cycle c) {
+    fires.push_back(c);
+    if (c == 2) {
+      e.park(id);
+      // This cycle's turn is being taken: the next untaken one is c + 1.
+      EXPECT_EQ(e.next_nominal(id), c + 1);
+    }
+  });
+  e.run_for(10);
+  EXPECT_EQ(fires, (std::vector<Cycle>{0, 1, 2}));
+  EXPECT_TRUE(e.parked(id));
+  EXPECT_EQ(e.ticks_run(), 3u);
+  EXPECT_EQ(e.now(), 10u);
+  EXPECT_EQ(e.next_nominal(id), 10u);
+}
+
+TEST(EnginePark, WakeFromPreTickEventFiresThatCycle) {
+  Engine e;
+  std::vector<Cycle> fires;
+  Engine::TickerId id = 0;
+  id = e.add_ticker(1, 0, [&](Cycle c) {
+    fires.push_back(c);
+    if (c == 1) e.park(id);
+  });
+  // Events run before the cycle's tickers, so the wake lands ahead of the
+  // ticker's turn at cycle 5.
+  e.schedule(5, [&] { e.wake(id); });
+  e.run_for(8);
+  EXPECT_EQ(fires, (std::vector<Cycle>{0, 1, 5, 6, 7}));
+}
+
+TEST(EnginePark, WakeFromTrailingZeroDelayEventFiresNextCycle) {
+  Engine e;
+  std::vector<Cycle> fires;
+  Engine::TickerId id = 0;
+  id = e.add_ticker(1, 0, [&](Cycle c) {
+    fires.push_back(c);
+    if (c == 1) e.park(id);
+  });
+  e.add_ticker(1, 0, [&](Cycle c) {
+    if (c == 5) e.schedule(0, [&] { e.wake(id); });
+  });
+  // The zero-delay event runs after every ticker of cycle 5, so the parked
+  // ticker's turn at 5 has passed: it re-arms at 6.
+  e.run_for(8);
+  EXPECT_EQ(fires, (std::vector<Cycle>{0, 1, 6, 7}));
+}
+
+TEST(EnginePark, WakeFromTickerRespectsRegistrationOrder) {
+  Engine e;
+  std::vector<Cycle> early_fires;
+  std::vector<Cycle> late_fires;
+  Engine::TickerId early = 0;
+  Engine::TickerId late = 0;
+  early = e.add_ticker(1, 0, [&](Cycle c) {
+    early_fires.push_back(c);
+    if (c == 0) e.park(early);
+    if (c == 4) e.wake(late);  // late's turn at 4 is still ahead
+  });
+  late = e.add_ticker(1, 0, [&](Cycle c) {
+    late_fires.push_back(c);
+    if (c == 0 || c == 3) e.park(late);
+    if (c == 2) e.wake(early);  // early's turn at 2 has passed
+  });
+  e.schedule(2, [&] { e.wake(late); });
+  e.run_for(6);
+  EXPECT_EQ(late_fires, (std::vector<Cycle>{0, 2, 3, 4, 5}));
+  EXPECT_EQ(early_fires, (std::vector<Cycle>{0, 3, 4, 5}));
+}
+
+TEST(EnginePark, SleepUntilAlignsToTickerPhase) {
+  Engine e;
+  std::vector<Cycle> fires;
+  Engine::TickerId id = 0;
+  id = e.add_ticker(4, 1, [&](Cycle c) {
+    fires.push_back(c);
+    if (c == 1) e.sleep_until(id, 10);  // nominal cycles 1, 5, 9, 13, ...
+  });
+  e.run_for(18);
+  EXPECT_EQ(fires, (std::vector<Cycle>{1, 13, 17}));
+  EXPECT_FALSE(e.parked(id));
+}
+
+TEST(EnginePark, SleepUntilTheNextNominalCycleStaysActive) {
+  Engine e;
+  std::vector<Cycle> fires;
+  Engine::TickerId id = 0;
+  id = e.add_ticker(4, 1, [&](Cycle c) {
+    fires.push_back(c);
+    e.sleep_until(id, c + 2);  // rounds up to c + 4, the next turn anyway
+    EXPECT_FALSE(e.parked(id));
+  });
+  e.run_for(10);
+  EXPECT_EQ(fires, (std::vector<Cycle>{1, 5, 9}));
+}
+
+TEST(EnginePark, WakePullsSleepingTickerEarlier) {
+  Engine e;
+  std::vector<Cycle> fires;
+  Engine::TickerId id = 0;
+  id = e.add_ticker(4, 1, [&](Cycle c) {
+    fires.push_back(c);
+    if (c == 1) e.sleep_until(id, 100);
+  });
+  e.schedule(6, [&] { e.wake(id); });  // next nominal cycle from 6 is 9
+  e.run_for(14);
+  EXPECT_EQ(fires, (std::vector<Cycle>{1, 9, 13}));
+}
+
+TEST(EnginePark, WakeOfActiveTickerIsNoOp) {
+  Engine e;
+  std::vector<Cycle> fires;
+  const Engine::TickerId id =
+      e.add_ticker(2, 0, [&](Cycle c) { fires.push_back(c); });
+  e.schedule(3, [&] { e.wake(id); });
+  e.run_for(7);
+  EXPECT_EQ(fires, (std::vector<Cycle>{0, 2, 4, 6}));
+}
+
+TEST(EnginePark, SaveOfParkedTickerMatchesNeverParkedEngine) {
+  // The snapshot holds each ticker's nominal next_fire and the tick count of
+  // an engine that never parked, so parking leaves no trace in the bytes.
+  auto snapshot = [](bool park) {
+    Engine e;
+    Engine::TickerId id = 0;
+    id = e.add_ticker(4, 1, [&](Cycle c) {
+      if (park && c == 1) e.park(id);
+    });
+    Engine::TickerId sleeper = 0;
+    sleeper = e.add_ticker(1, 0, [&](Cycle c) {
+      if (park && c == 3) e.sleep_until(sleeper, 40);
+    });
+    e.run_for(10);
+    EXPECT_EQ(e.parked(id), park);
+    EXPECT_EQ(e.parked(sleeper), park);
+    ckpt::StateWriter w;
+    w.begin_section("engine");
+    e.save(w);
+    w.end_section();
+    return w.finish();
+  };
+  const std::vector<std::uint8_t> parked = snapshot(true);
+  EXPECT_EQ(parked, snapshot(false));
+
+  // A restored engine re-arms every ticker on its nominal schedule.
+  Engine r;
+  std::vector<Cycle> fires;
+  r.add_ticker(4, 1, [&](Cycle c) { fires.push_back(c); });
+  r.add_ticker(1, 0, [](Cycle) {});
+  ckpt::StateReader rd(parked);
+  ASSERT_TRUE(rd.next_section());
+  r.load(rd);
+  EXPECT_EQ(r.now(), 10u);
+  EXPECT_EQ(r.ticks_run(), 3u + 10u);  // 1, 5, 9 and 0..9
+  r.run_for(8);
+  EXPECT_EQ(fires, (std::vector<Cycle>{13, 17}));
+}
+
+TEST(EnginePark, RunUntilStopsExactlyWithParkedPeriodOneTicker) {
+  // A parked period-1 ticker still makes every cycle nominal for run_until,
+  // so a predicate on now() alone stops exactly where it would have had the
+  // ticker never parked.
+  Engine e;
+  Engine::TickerId id = 0;
+  id = e.add_ticker(1, 0, [&](Cycle c) {
+    if (c == 3) e.park(id);
+  });
+  e.add_ticker(64, 0, [](Cycle) {});
+  const Cycle ran = e.run_until([&] { return e.now() >= 57; }, 1000);
+  EXPECT_EQ(ran, 57u);
+  EXPECT_EQ(e.now(), 57u);
+  EXPECT_EQ(e.ticks_run(), 4u + 1u);  // 0..3, then the period-64 one at 0
+}
+
+TEST(EnginePark, RunForSkipsParkedCycles) {
+  Engine e;
+  Engine::TickerId id = 0;
+  id = e.add_ticker(1, 0, [&](Cycle c) {
+    if (c == 0) e.park(id);
+  });
+  bool woke = false;
+  e.schedule(5000, [&] {
+    woke = true;
+    e.wake(id);
+  });
+  e.run_for(5002);
+  EXPECT_TRUE(woke);
+  EXPECT_EQ(e.ticks_run(), 3u);  // cycle 0, then 5000 and 5001
+  EXPECT_EQ(e.now(), 5002u);
 }
 
 // ---------------------------------------------------------------------------
