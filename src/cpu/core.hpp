@@ -55,10 +55,6 @@ class CpuCore {
   /// by tests, in which case the core never parks).
   void tick(Cycle now);
 
-  /// Credit the cycles skipped while parked, up to the current engine
-  /// position, to the stall counter of the parking stall.
-  void settle_stalls();
-
   /// Drop `addr` from the private hierarchy (LLC back-invalidation).
   /// Returns true when a dirty copy existed (the LLC then owns writing it
   /// back to DRAM).
@@ -118,6 +114,9 @@ class CpuCore {
   void park(Park why, Cycle now);
   /// Credit cycles [credit_from_, upto) to the parking stall's counter.
   void credit_stalls(Cycle upto);
+  /// Credit the cycles skipped so far (up to the engine's next nominal
+  /// cycle); the StatRegistry settler.
+  void settle_stalls();
   /// Attempt to execute the pending memory op; false on a structural or
   /// dependency stall (commit cannot proceed this cycle).
   bool execute_mem_op(Cycle now);
