@@ -10,8 +10,6 @@ namespace gpuqos {
 
 Engine::Engine() : buckets_(kWheelSize) {}
 
-Engine::~Engine() = default;
-
 void Engine::schedule(Cycle delay, Action fn) {
   const Cycle when = now_ + delay;
   if (delay < kWheelSize) {
@@ -163,11 +161,6 @@ void Engine::step_cycle() {
   // event, including those appended during it.
   if (!bucket.empty()) drain_bucket(bucket);
   ++now_;
-}
-
-void Engine::step() {
-  refill_wheel();
-  step_cycle();
 }
 
 Cycle Engine::next_event_cycle() const {

@@ -44,9 +44,9 @@
 //    exactly the cycles a never-parking engine would: a parked ticker still
 //    counts as due on its nominal cycles there, so a parked period-1 ticker
 //    means no skip, and a now()-dependent predicate stops where it always
-//    did. Inside a gap it does skip, run_until cannot observe the predicate,
-//    so a predicate on now() alone may overshoot by up to the smallest ticker
-//    period minus one.
+//    did. Where run_until does skip (no ticker has a nominal cycle in the
+//    gap), the predicate is not evaluated, so one on now() alone may
+//    overshoot by up to the smallest ticker period minus one.
 
 #pragma once
 
@@ -80,7 +80,6 @@ class Engine {
   static constexpr Cycle kWheelMask = kWheelSize - 1;
 
   Engine();
-  ~Engine();
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
@@ -116,9 +115,6 @@ class Engine {
   /// The next nominal cycle of ticker `id` whose turn has not yet come:
   /// cycles before it have ticked (or were skipped while parked).
   [[nodiscard]] Cycle next_nominal(TickerId id) const;
-
-  /// Advance one cycle: run due events, then tickers.
-  void step();
 
   /// Run until `pred` returns true or `max_cycles` elapse. Returns cycles run.
   /// Idle gaps are skipped without re-evaluating `pred`; a parked ticker's
