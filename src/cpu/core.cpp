@@ -113,7 +113,12 @@ void CpuCore::tick(Cycle now) {
     }
     blocking_miss_ = -1;
   }
-  compact_misses();
+  // Compact resolved misses (safe: no live references right now). Guarded by
+  // the done-count so the common all-in-flight tick skips the vector walk.
+  if (done_misses_ > 0) {
+    std::erase_if(outstanding_, [](const Miss& m) { return m.done; });
+    done_misses_ = 0;
+  }
 
   unsigned budget = cfg_.commit_width;
   while (budget > 0) {
@@ -146,15 +151,6 @@ void CpuCore::tick(Cycle now) {
     has_pending_ = false;
     if (blocking_miss_ >= 0) break;  // dependent load: stop committing
     if (now < resume_at_) break;     // L2-hit penalty starts next cycle
-  }
-}
-
-void CpuCore::compact_misses() {
-  // Guarded by the done-count so the common all-in-flight tick skips the
-  // vector walk.
-  if (done_misses_ > 0) {
-    std::erase_if(outstanding_, [](const Miss& m) { return m.done; });
-    done_misses_ = 0;
   }
 }
 
@@ -257,15 +253,13 @@ void CpuCore::send_llc_read(Addr block, Cycle now, std::size_t miss_slot) {
                           SourceId::cpu(static_cast<std::uint8_t>(index_)),
                           GpuAccessClass::None, dirty_fill);
     if (ev1 && ev1->dirty) l2_insert(ev1->block_addr, /*dirty=*/true, when);
-    if (park_ == Park::Rob) {
-      // The next tick would compact the resolved entry and, unless this was
-      // the oldest miss, stall on the full window again: compact here and
-      // stay parked.
-      compact_misses();
-      if (!rob_full()) engine_.wake(ticker_);
-    } else if (park_ == Park::Dependent &&
-               blocking_miss_ == static_cast<std::int64_t>(id)) {
-      engine_.wake(ticker_);  // a dependent stall ends with its own miss
+    // A ROB stall may end with any completion, and the next tick compacts
+    // the resolved entry either way; a dependent stall ends only with its
+    // own miss (it returns before compaction).
+    if (park_ == Park::Rob ||
+        (park_ == Park::Dependent &&
+         blocking_miss_ == static_cast<std::int64_t>(id))) {
+      engine_.wake(ticker_);
     }
   };
   if (check_ != nullptr) {

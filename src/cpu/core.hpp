@@ -123,8 +123,6 @@ class CpuCore {
   void send_llc_read(Addr block, Cycle now, std::size_t miss_slot);
   void send_llc_write(Addr block, Cycle now);
   [[nodiscard]] bool rob_full() const;
-  /// Drop resolved misses from outstanding_ (no live references allowed).
-  void compact_misses();
   void l2_insert(Addr block, bool dirty, Cycle now);
 
   Engine& engine_;
