@@ -2,40 +2,34 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 
 #include "common/cli.hpp"
 #include "common/stats.hpp"
-#include "svc/client.hpp"
+#include "svc/exec.hpp"
 #include "svc/jobspec.hpp"
 #include "svc/options.hpp"
 
 namespace gpuqos::bench {
 namespace {
 
-svc::ClientFlags g_client_flags;
-svc::ExecFlags g_exec_flags;
+svc::ExecOptions g_exec_opts;
 
 std::string default_store_dir() {
-  // GPUQOS_BENCH_CACHE is the documented override; GPUQOS_CACHE_DIR is the
-  // original spelling, kept so existing scripts don't silently re-simulate.
   const char* env = std::getenv("GPUQOS_BENCH_CACHE");
-  if (env == nullptr) env = std::getenv("GPUQOS_CACHE_DIR");
   return env != nullptr ? env : "gpuqos_bench_cache";
 }
 
-/// Process-wide service client. Built on first use from whatever
-/// init_harness parsed (or the defaults when a harness never called it);
-/// remote when --socket / GPUQOS_SERVE_SOCKET names a live daemon.
-svc::Client& client() {
+/// Process-wide executor. Built on first use from whatever init_harness
+/// parsed (or the defaults when a harness never called it).
+svc::Executor& executor() {
   // NOLINT-gpuqos(concurrency-discipline): C++11 magic-static init is
-  // thread-safe; Client::submit_batch runs batches one at a time per caller.
-  static std::unique_ptr<svc::Client> c = [] {
-    svc::ExecFlags exec = g_exec_flags;
-    if (exec.store_dir.empty()) exec.store_dir = default_store_dir();
-    return svc::make_client(g_client_flags, exec);
+  // thread-safe; harnesses submit batches from one thread at a time.
+  static svc::Executor e = [] {
+    svc::ExecOptions opts = g_exec_opts;
+    if (opts.store_dir.empty()) opts.store_dir = default_store_dir();
+    return svc::Executor(opts);
   }();
-  return *c;
+  return e;
 }
 
 svc::JobSpec job_base(const SimConfig& cfg) {
@@ -77,21 +71,20 @@ svc::JobSpec gpu_alone_spec(const SimConfig& cfg, const GpuAppDesc& app,
 }
 
 HeteroResult submit_one(const svc::JobSpec& spec) {
-  return client().submit_batch({spec}).front().result;
+  return executor().run_batch({spec}).front().result;
 }
 
 void submit_all(std::vector<svc::JobSpec> jobs) {
   if (jobs.empty()) return;
-  (void)client().submit_batch(jobs);
+  (void)executor().run_batch(jobs);
 }
 
 }  // namespace
 
 void init_harness(int argc, char** argv, const char* what) {
-  cli::OptionSet opts("[--socket PATH] [--store-dir DIR] [--flags...]", what);
-  g_exec_flags.store_dir = default_store_dir();
-  svc::register_client_flags(opts, g_client_flags);
-  svc::register_exec_flags(opts, g_exec_flags);
+  cli::OptionSet opts("[--store-dir DIR] [--flags...]", what);
+  g_exec_opts.store_dir = default_store_dir();
+  svc::register_exec_flags(opts, g_exec_opts);
 
   std::vector<const char*> positional;
   opts.parse(argc, argv, positional);
@@ -134,7 +127,7 @@ std::vector<double> cached_alone_ipcs(const SimConfig& cfg,
   std::vector<svc::JobSpec> jobs;
   jobs.reserve(mix.cpu_specs.size());
   for (int id : mix.cpu_specs) jobs.push_back(cpu_alone_spec(cfg, id, scale));
-  const std::vector<svc::JobResult> results = client().submit_batch(jobs);
+  const std::vector<svc::JobResult> results = executor().run_batch(jobs);
   std::vector<double> out;
   out.reserve(results.size());
   for (const svc::JobResult& r : results) {

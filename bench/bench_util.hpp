@@ -2,13 +2,12 @@
 //
 // Several figures are computed from the same simulations (e.g. Figures 9-11
 // all need the throttled runs of the six high-FPS mixes), so every cached_*
-// helper routes through the simulation service client (svc/client.hpp): jobs
-// are memoized in the service's content-addressed result store under
+// helper routes through one process-wide svc::Executor (svc/exec.hpp): jobs
+// are memoized in its content-addressed result store under
 // ./gpuqos_bench_cache (override with GPUQOS_BENCH_CACHE or --store-dir),
 // and hetero jobs that share a mix fork from one warm snapshot instead of
-// re-simulating the warm-up. Point any harness at a gpuqos_serve daemon with
-// --socket or GPUQOS_SERVE_SOCKET; without one the batch runs in-process on
-// the sweep pool — same results either way, byte-identical by digest.
+// re-simulating the warm-up — kept in memory and as a .gqw file in the
+// store, so later harnesses fork from it too. Batches run on the sweep pool.
 // Delete the cache directory after changing simulator code.
 //
 // The prefetch_* helpers submit a whole batch of runs up front, so a harness
@@ -23,8 +22,8 @@
 
 namespace gpuqos::bench {
 
-/// Parse the shared harness flags (--socket, --store-dir, --warm-cache-max,
-/// --threads, --help) and install them for the process-wide service client.
+/// Parse the shared harness flags (--store-dir, --warm-cache-max, --threads,
+/// --help) and install them for the process-wide executor.
 /// Call it first in main(); bad flags exit(2), --help exits(0). Harnesses
 /// take no positional arguments.
 void init_harness(int argc, char** argv, const char* what);

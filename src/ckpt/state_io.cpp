@@ -1,5 +1,8 @@
 #include "ckpt/state_io.hpp"
 
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <array>
 #include <cstdio>
 #include <cstring>
@@ -290,11 +293,20 @@ std::vector<std::uint8_t> encode_section(
 
 void write_snapshot_file(const std::string& path,
                          const std::vector<std::uint8_t>& data) {
-  // Atomic-ish: write to a sibling temp file and rename over the target so a
-  // crash mid-write never leaves a torn snapshot under the final name.
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) throw CkptError("cannot open '" + tmp + "' for writing");
+  // Atomic: write a sibling temp file and rename it over the target, so a
+  // crash mid-write never leaves a torn file under the final name. mkstemps
+  // makes the temp name unique, so writers in other threads or processes
+  // targeting the same path never open (or rename away) each other's file.
+  std::string tmp = path + ".XXXXXX.tmp";
+  const int fd = ::mkstemps(tmp.data(), 4);
+  if (fd < 0) throw CkptError("cannot create a temp file for '" + path + "'");
+  ::fchmod(fd, 0644);  // mkstemps creates 0600; snapshots are shareable data
+  std::FILE* f = ::fdopen(fd, "wb");
+  if (f == nullptr) {
+    ::close(fd);
+    std::remove(tmp.c_str());
+    throw CkptError("cannot open '" + tmp + "' for writing");
+  }
   const std::size_t written = std::fwrite(data.data(), 1, data.size(), f);
   const bool flushed = std::fclose(f) == 0;
   if (written != data.size() || !flushed) {

@@ -1,248 +1,11 @@
 #include "svc/json.hpp"
 
-#include <cctype>
 #include <cstdio>
 
-#include "common/cli.hpp"
 #include "common/jsonio.hpp"
 
 namespace gpuqos::svc {
 namespace {
-
-constexpr int kMaxDepth = 64;
-
-[[noreturn]] void fail_at(std::size_t pos, const std::string& why) {
-  throw JsonError("json: " + why + " at byte " + std::to_string(pos));
-}
-
-class Parser {
- public:
-  explicit Parser(std::string_view src) : src_(src) {}
-
-  JsonValue run() {
-    JsonValue v = value(0);
-    skip_ws();
-    if (pos_ != src_.size()) fail_at(pos_, "trailing data after document");
-    return v;
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < src_.size()) {
-      const char c = src_[pos_];
-      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    if (pos_ >= src_.size()) fail_at(pos_, "unexpected end of input");
-    return src_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) {
-      fail_at(pos_, std::string("expected '") + c + "'");
-    }
-    ++pos_;
-  }
-
-  bool consume(char c) {
-    if (pos_ < src_.size() && src_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  JsonValue value(int depth) {
-    if (depth > kMaxDepth) fail_at(pos_, "nesting too deep");
-    skip_ws();
-    const char c = peek();
-    switch (c) {
-      case '{':
-        return object(depth);
-      case '[':
-        return array(depth);
-      case '"': {
-        JsonValue v;
-        v.kind = JsonValue::Kind::kString;
-        v.text = string();
-        return v;
-      }
-      case 't':
-        keyword("true");
-        return JsonValue::boolean(true);
-      case 'f':
-        keyword("false");
-        return JsonValue::boolean(false);
-      case 'n': {
-        keyword("null");
-        return JsonValue{};
-      }
-      default:
-        return number();
-    }
-  }
-
-  void keyword(const char* word) {
-    for (const char* p = word; *p != '\0'; ++p) {
-      if (pos_ >= src_.size() || src_[pos_] != *p) {
-        fail_at(pos_, std::string("expected '") + word + "'");
-      }
-      ++pos_;
-    }
-  }
-
-  JsonValue object(int depth) {
-    expect('{');
-    JsonValue v = JsonValue::object();
-    skip_ws();
-    if (consume('}')) return v;
-    for (;;) {
-      skip_ws();
-      std::string key = string();
-      skip_ws();
-      expect(':');
-      v.fields.emplace_back(std::move(key), value(depth + 1));
-      skip_ws();
-      if (consume(',')) continue;
-      expect('}');
-      return v;
-    }
-  }
-
-  JsonValue array(int depth) {
-    expect('[');
-    JsonValue v = JsonValue::array();
-    skip_ws();
-    if (consume(']')) return v;
-    for (;;) {
-      v.items.push_back(value(depth + 1));
-      skip_ws();
-      if (consume(',')) continue;
-      expect(']');
-      return v;
-    }
-  }
-
-  std::string string() {
-    expect('"');
-    std::string out;
-    for (;;) {
-      if (pos_ >= src_.size()) fail_at(pos_, "unterminated string");
-      const char c = src_[pos_++];
-      if (c == '"') return out;
-      if (static_cast<unsigned char>(c) < 0x20) {
-        fail_at(pos_ - 1, "raw control character in string");
-      }
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      if (pos_ >= src_.size()) fail_at(pos_, "dangling escape");
-      const char e = src_[pos_++];
-      switch (e) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'n': out.push_back('\n'); break;
-        case 'r': out.push_back('\r'); break;
-        case 't': out.push_back('\t'); break;
-        case 'u': {
-          const unsigned cp = hex4();
-          // Basic-plane decode only; surrogate pairs are not needed by the
-          // protocol (all frame strings are ASCII identifiers/paths) but a
-          // lone surrogate must still not produce garbage bytes.
-          if (cp >= 0xD800 && cp <= 0xDFFF) {
-            fail_at(pos_, "surrogate escapes are not supported");
-          }
-          append_utf8(out, cp);
-          break;
-        }
-        default:
-          fail_at(pos_ - 1, "invalid escape");
-      }
-    }
-  }
-
-  unsigned hex4() {
-    unsigned v = 0;
-    for (int i = 0; i < 4; ++i) {
-      if (pos_ >= src_.size()) fail_at(pos_, "truncated \\u escape");
-      const char c = src_[pos_++];
-      v <<= 4;
-      if (c >= '0' && c <= '9') {
-        v |= static_cast<unsigned>(c - '0');
-      } else if (c >= 'a' && c <= 'f') {
-        v |= static_cast<unsigned>(c - 'a' + 10);
-      } else if (c >= 'A' && c <= 'F') {
-        v |= static_cast<unsigned>(c - 'A' + 10);
-      } else {
-        fail_at(pos_ - 1, "invalid \\u escape digit");
-      }
-    }
-    return v;
-  }
-
-  static void append_utf8(std::string& out, unsigned cp) {
-    if (cp < 0x80) {
-      out.push_back(static_cast<char>(cp));
-    } else if (cp < 0x800) {
-      out.push_back(static_cast<char>(0xC0u | (cp >> 6)));
-      out.push_back(static_cast<char>(0x80u | (cp & 0x3Fu)));
-    } else {
-      out.push_back(static_cast<char>(0xE0u | (cp >> 12)));
-      out.push_back(static_cast<char>(0x80u | ((cp >> 6) & 0x3Fu)));
-      out.push_back(static_cast<char>(0x80u | (cp & 0x3Fu)));
-    }
-  }
-
-  JsonValue number() {
-    const std::size_t start = pos_;
-    if (consume('-')) { /* sign */ }
-    if (!std::isdigit(static_cast<unsigned char>(peek()))) {
-      fail_at(pos_, "invalid value");
-    }
-    while (pos_ < src_.size() &&
-           std::isdigit(static_cast<unsigned char>(src_[pos_]))) {
-      ++pos_;
-    }
-    if (consume('.')) {
-      if (pos_ >= src_.size() ||
-          !std::isdigit(static_cast<unsigned char>(src_[pos_]))) {
-        fail_at(pos_, "digits must follow '.'");
-      }
-      while (pos_ < src_.size() &&
-             std::isdigit(static_cast<unsigned char>(src_[pos_]))) {
-        ++pos_;
-      }
-    }
-    if (pos_ < src_.size() && (src_[pos_] == 'e' || src_[pos_] == 'E')) {
-      ++pos_;
-      if (pos_ < src_.size() && (src_[pos_] == '+' || src_[pos_] == '-')) {
-        ++pos_;
-      }
-      if (pos_ >= src_.size() ||
-          !std::isdigit(static_cast<unsigned char>(src_[pos_]))) {
-        fail_at(pos_, "digits must follow exponent");
-      }
-      while (pos_ < src_.size() &&
-             std::isdigit(static_cast<unsigned char>(src_[pos_]))) {
-        ++pos_;
-      }
-    }
-    JsonValue v;
-    v.kind = JsonValue::Kind::kNumber;
-    v.text.assign(src_.substr(start, pos_ - start));
-    return v;
-  }
-
-  std::string_view src_;
-  std::size_t pos_ = 0;
-};
 
 void write_value(const JsonValue& v, std::string& out) {
   switch (v.kind) {
@@ -286,54 +49,6 @@ void write_value(const JsonValue& v, std::string& out) {
 
 }  // namespace
 
-const JsonValue* JsonValue::get(std::string_view key) const {
-  if (kind != Kind::kObject) return nullptr;
-  for (const auto& [k, v] : fields) {
-    if (k == key) return &v;
-  }
-  return nullptr;
-}
-
-const std::string& JsonValue::as_string(const char* what) const {
-  if (kind != Kind::kString) {
-    throw JsonError(std::string("json: ") + what + " must be a string");
-  }
-  return text;
-}
-
-std::uint64_t JsonValue::as_u64(const char* what) const {
-  std::uint64_t out = 0;
-  if (kind != Kind::kNumber || !cli::parse_u64(text.c_str(), out)) {
-    throw JsonError(std::string("json: ") + what +
-                    " must be an unsigned integer");
-  }
-  return out;
-}
-
-double JsonValue::as_f64(const char* what) const {
-  double out = 0.0;
-  if (kind != Kind::kNumber || !cli::parse_f64(text.c_str(), out)) {
-    throw JsonError(std::string("json: ") + what + " must be a number");
-  }
-  return out;
-}
-
-const JsonValue& JsonValue::req(const char* key) const {
-  const JsonValue* v = get(key);
-  if (v == nullptr) {
-    throw JsonError(std::string("json: missing required field '") + key + "'");
-  }
-  return *v;
-}
-
-const std::string& JsonValue::req_string(const char* key) const {
-  return req(key).as_string(key);
-}
-std::uint64_t JsonValue::req_u64(const char* key) const {
-  return req(key).as_u64(key);
-}
-double JsonValue::req_f64(const char* key) const { return req(key).as_f64(key); }
-
 JsonValue JsonValue::object() {
   JsonValue v;
   v.kind = Kind::kObject;
@@ -359,8 +74,7 @@ JsonValue JsonValue::num_u64(std::uint64_t n) {
 JsonValue JsonValue::num_f64(double d) {
   JsonValue v;
   v.kind = Kind::kNumber;
-  // Max round-trip precision: the result frames carry doubles that must
-  // survive daemon -> client unchanged (json_double's 12 digits would not).
+  // Max round-trip precision (json_double's 12 digits would lose bits).
   char buf[40];
   std::snprintf(buf, sizeof buf, "%.17g", d);
   v.text = buf;
@@ -381,8 +95,6 @@ JsonValue& JsonValue::push(JsonValue v) {
   items.push_back(std::move(v));
   return *this;
 }
-
-JsonValue json_parse(std::string_view src) { return Parser(src).run(); }
 
 std::string json_write(const JsonValue& v) {
   std::string out;

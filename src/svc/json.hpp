@@ -1,60 +1,26 @@
-// Minimal JSON value model + strict parser for the service protocol
-// (docs/SERVICE.md). The simulator proper only ever *emits* JSON
-// (common/jsonio.hpp); the daemon and its client additionally have to parse
-// the frames they receive from the wire, which is what this covers. The
-// parser is strict RFC-8259 (no comments, no trailing commas), depth-limited,
-// and every malformed input throws JsonError with a byte offset — a frame
-// that fails to parse becomes a typed `error` reply, never UB.
+// Minimal JSON value model + compact writer. Builders assemble a document in
+// memory (objects keep insertion order, numbers keep their rendered token so
+// 64-bit integers and max-precision doubles print exactly) and json_write
+// renders it on one line. Emit-only: nothing in the project parses JSON back.
 #pragma once
 
 #include <cstdint>
-#include <stdexcept>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
 namespace gpuqos::svc {
 
-/// Any malformed JSON text. Carries a human-readable reason + byte offset.
-class JsonError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
-
-/// A parsed JSON value. Plain value type: objects keep insertion order (the
-/// canonical frame field order), numbers keep their source token so 64-bit
-/// integers round-trip without a detour through double.
 class JsonValue {
  public:
   enum class Kind : std::uint8_t { kNull, kBool, kNumber, kString, kArray, kObject };
 
   Kind kind = Kind::kNull;
   bool flag = false;             // kBool
-  std::string text;              // kString: decoded bytes; kNumber: raw token
+  std::string text;              // kString: raw bytes; kNumber: rendered token
   std::vector<JsonValue> items;  // kArray
   std::vector<std::pair<std::string, JsonValue>> fields;  // kObject
 
-  [[nodiscard]] bool is_object() const { return kind == Kind::kObject; }
-  [[nodiscard]] bool is_array() const { return kind == Kind::kArray; }
-  [[nodiscard]] bool is_string() const { return kind == Kind::kString; }
-  [[nodiscard]] bool is_number() const { return kind == Kind::kNumber; }
-
-  /// Object member lookup (first match), nullptr when absent or not an object.
-  [[nodiscard]] const JsonValue* get(std::string_view key) const;
-
-  // Checked accessors: throw JsonError naming `what` on kind/range mismatch.
-  [[nodiscard]] const std::string& as_string(const char* what) const;
-  [[nodiscard]] std::uint64_t as_u64(const char* what) const;
-  [[nodiscard]] double as_f64(const char* what) const;
-
-  // Required object members (throw JsonError when missing or mistyped).
-  [[nodiscard]] const JsonValue& req(const char* key) const;
-  [[nodiscard]] const std::string& req_string(const char* key) const;
-  [[nodiscard]] std::uint64_t req_u64(const char* key) const;
-  [[nodiscard]] double req_f64(const char* key) const;
-
-  // Builders (used by the emit side of the protocol and by tests).
   [[nodiscard]] static JsonValue object();
   [[nodiscard]] static JsonValue array();
   [[nodiscard]] static JsonValue str(std::string s);
@@ -64,9 +30,6 @@ class JsonValue {
   JsonValue& add(std::string key, JsonValue v);  // object append, returns *this
   JsonValue& push(JsonValue v);                  // array append, returns *this
 };
-
-/// Parse one complete JSON document; trailing non-whitespace is an error.
-[[nodiscard]] JsonValue json_parse(std::string_view src);
 
 /// Compact single-line serialization (object/array member order preserved).
 [[nodiscard]] std::string json_write(const JsonValue& v);

@@ -1,64 +1,24 @@
-// Shared service flag registration (ISSUE: "daemon/client flags registered
-// once and reused"). Every binary that talks to the service — gpuqos_serve,
-// gpuqos_submit, gpuqos_run, the figure harnesses via bench::init_harness —
-// pulls its flags from here, so `--socket` means the same thing everywhere.
+// Shared executor flag registration: every binary that runs sweeps through
+// svc::Executor (the figure harnesses via bench::init_harness) pulls its
+// flags from here, so `--store-dir` means the same thing everywhere.
 #pragma once
 
-#include <cstdint>
-#include <memory>
-#include <string>
-
 #include "common/cli.hpp"
-#include "svc/client.hpp"
 #include "svc/exec.hpp"
 
 namespace gpuqos::svc {
 
-/// Client-side connection flags.
-struct ClientFlags {
-  /// Daemon socket; empty = GPUQOS_SERVE_SOCKET env, else run in-process.
-  std::string socket;
-};
-
-/// Executor/store knobs, shared by the daemon and the in-process fallback.
-struct ExecFlags {
-  std::string store_dir;
-  std::uint64_t warm_cache_max = 256ull << 20;
-  unsigned threads = 0;
-
-  [[nodiscard]] ExecOptions to_options() const {
-    ExecOptions opts;
-    opts.store_dir = store_dir;
-    opts.warm_cache_max = warm_cache_max;
-    opts.threads = threads;
-    return opts;
-  }
-};
-
-inline void register_client_flags(cli::OptionSet& opts, ClientFlags& out) {
-  opts.str("--socket", "PATH",
-           "gpuqos_serve socket to submit through (default: "
-           "$GPUQOS_SERVE_SOCKET, else run in-process)",
-           &out.socket);
-}
-
-inline void register_exec_flags(cli::OptionSet& opts, ExecFlags& out) {
+/// The executor/store knobs as flags, parsed straight into `out`.
+inline void register_exec_flags(cli::OptionSet& opts, ExecOptions& out) {
   opts.str("--store-dir", "DIR",
-           "persistent result store directory (default: none)",
+           "persistent result + warm-snapshot store directory (default: none)",
            &out.store_dir);
   opts.u64("--warm-cache-max", "BYTES",
-           "warm checkpoint cache bound in bytes (0 = unbounded)",
+           "in-memory warm snapshot cache bound in bytes (0 = unbounded)",
            &out.warm_cache_max);
   opts.u32("--threads", "N",
            "executor worker threads (0 = auto / GPUQOS_THREADS)",
            &out.threads);
-}
-
-/// A ready-to-use client honoring the flags: daemon when reachable, local
-/// executor (with `exec_flags`) otherwise.
-[[nodiscard]] inline std::unique_ptr<Client> make_client(
-    const ClientFlags& client_flags, const ExecFlags& exec_flags) {
-  return Client::create(client_flags.socket, exec_flags.to_options());
 }
 
 }  // namespace gpuqos::svc

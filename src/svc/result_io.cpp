@@ -102,6 +102,48 @@ HeteroResult decode_result(const JobSpec& spec,
   return r;
 }
 
+std::vector<std::uint8_t> encode_warm(const JobSpec& spec,
+                                      const std::vector<std::uint8_t>& snapshot) {
+  ckpt::StateWriter w;
+  w.begin_section("svc.warm");
+  w.u32(kWarmFormat);
+  w.str(warm_canonical(spec));
+  w.end_section();
+  w.begin_section("svc.snapshot");
+  w.bytes(snapshot.data(), snapshot.size());
+  w.end_section();
+  return w.finish();
+}
+
+std::vector<std::uint8_t> decode_warm(const JobSpec& spec,
+                                      std::vector<std::uint8_t> bytes) {
+  ckpt::StateReader reader(std::move(bytes));
+  if (!reader.next_section() || reader.tag() != "svc.warm") {
+    throw ckpt::CkptError("svc.warm: expected svc.warm section first");
+  }
+  const std::uint32_t format = reader.u32();
+  if (format != kWarmFormat) {
+    reader.fail("svc.warm: unsupported warm format " + std::to_string(format));
+  }
+  const std::string stored = reader.str();
+  const std::string wanted = warm_canonical(spec);
+  if (stored != wanted) {
+    reader.fail("svc.warm: stored snapshot is for '" + stored +
+                "', requested '" + wanted + "'");
+  }
+  reader.expect_section_end();
+
+  if (!reader.next_section() || reader.tag() != "svc.snapshot") {
+    throw ckpt::CkptError("svc.warm: missing svc.snapshot section");
+  }
+  std::vector<std::uint8_t> snapshot(reader.remaining());
+  reader.bytes(snapshot.data(), snapshot.size());
+  if (reader.next_section()) {
+    reader.fail("svc.warm: unexpected section after svc.snapshot");
+  }
+  return snapshot;
+}
+
 std::uint64_t result_digest(const std::vector<std::uint8_t>& bytes) {
   Fnv1a64 h;
   for (std::uint8_t b : bytes) h.mix_byte(b);

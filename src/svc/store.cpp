@@ -19,27 +19,30 @@ ResultStore::ResultStore(std::string dir) : dir_(std::move(dir)) {
   }
 }
 
-std::string ResultStore::path_for(const JobSpec& spec) const {
+std::string ResultStore::result_path(const JobSpec& spec) const {
   return dir_ + "/" + job_key_hex(spec) + ".gqr";
 }
 
-std::optional<std::vector<std::uint8_t>> ResultStore::get(const JobSpec& spec) {
-  if (!enabled()) return std::nullopt;
-  const std::string path = path_for(spec);
+std::string ResultStore::warm_path(const JobSpec& spec) const {
+  return dir_ + "/" + u64_hex(warm_key(spec)) + ".gqw";
+}
+
+template <typename Decode>
+std::optional<std::vector<std::uint8_t>> ResultStore::read_valid(
+    const std::string& path, Decode decode) {
   if (!std::filesystem::exists(path)) {
     std::lock_guard<std::mutex> lock(mu_);
     ++misses_;
     return std::nullopt;
   }
   try {
-    std::vector<std::uint8_t> bytes = ckpt::read_snapshot_file(path);
-    (void)decode_result(spec, bytes);  // full CRC + identity validation
+    std::vector<std::uint8_t> bytes = decode(ckpt::read_snapshot_file(path));
     std::lock_guard<std::mutex> lock(mu_);
     ++hits_;
     return bytes;
   } catch (const ckpt::CkptError& e) {
-    // Corruption or a key collision: treat as a miss so the job re-runs and
-    // put() overwrites the bad file. Never serve unvalidated bytes.
+    // Corruption or a key collision: treat as a miss so the caller re-runs
+    // and overwrites the bad file. Never serve unvalidated bytes.
     std::fprintf(stderr, "[svc.store] rejecting %s: %s\n", path.c_str(),
                  e.what());
     std::lock_guard<std::mutex> lock(mu_);
@@ -49,29 +52,31 @@ std::optional<std::vector<std::uint8_t>> ResultStore::get(const JobSpec& spec) {
   }
 }
 
+std::optional<std::vector<std::uint8_t>> ResultStore::get(const JobSpec& spec) {
+  if (!enabled()) return std::nullopt;
+  return read_valid(result_path(spec), [&spec](std::vector<std::uint8_t> bytes) {
+    (void)decode_result(spec, bytes);  // CRC + identity check
+    return bytes;
+  });
+}
+
 void ResultStore::put(const JobSpec& spec, const std::vector<std::uint8_t>& bytes) {
   if (!enabled()) return;
-  std::string tmp;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    tmp = dir_ + "/.put." + std::to_string(tmp_seq_++) + ".tmp";
-  }
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    throw ckpt::CkptError("result store: cannot open '" + tmp + "'");
-  }
-  const std::size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
-  const bool flushed = std::fclose(f) == 0;
-  if (written != bytes.size() || !flushed) {
-    std::remove(tmp.c_str());
-    throw ckpt::CkptError("result store: short write to '" + tmp + "'");
-  }
-  const std::string path = path_for(spec);
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw ckpt::CkptError("result store: cannot rename '" + tmp + "' to '" +
-                          path + "'");
-  }
+  ckpt::write_snapshot_file(result_path(spec), bytes);
+}
+
+std::optional<std::vector<std::uint8_t>> ResultStore::get_warm(
+    const JobSpec& spec) {
+  if (!enabled()) return std::nullopt;
+  return read_valid(warm_path(spec), [&spec](std::vector<std::uint8_t> bytes) {
+    return decode_warm(spec, std::move(bytes));
+  });
+}
+
+void ResultStore::put_warm(const JobSpec& spec,
+                           const std::vector<std::uint8_t>& snapshot) {
+  if (!enabled()) return;
+  ckpt::write_snapshot_file(warm_path(spec), encode_warm(spec, snapshot));
 }
 
 std::uint64_t ResultStore::hits() const {
